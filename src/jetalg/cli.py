@@ -302,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="verify a deformation file order by order")
     dc.add_argument("file")
     dc.set_defaults(fn=_cmd_deform_check)
-    dd = dsub.add_parser("derive", parents=[fmt],
+    dd = dsub.add_parser("derive",
                          help="build the jet generated by a derivation pair")
     dd.add_argument("structure")
     dd.add_argument("--derivations", required=True)
     dd.add_argument("-N", type=int, required=True, help="jet truncation order")
     dd.add_argument("-o", "--output", required=True)
     dd.set_defaults(fn=_cmd_deform_derive)
-    dq = dsub.add_parser("qcl", parents=[fmt],
+    dq = dsub.add_parser("qcl",
                          help="extract the quasiclassical limit structure")
     dq.add_argument("file")
     dq.add_argument("-o", "--output", required=True)
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="worked-example generators")
     gsub = g.add_subparsers(dest="subcommand", required=True)
-    gp = gsub.add_parser("product-shift", parents=[fmt],
+    gp = gsub.add_parser("product-shift",
                          help="copies of a base algebra with shift operations")
     gp.add_argument("-n", type=int, required=True, help="number of copies")
     gp.add_argument("--base", help="base structure file")
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--base-jet", help="deform the base by this jet file")
     gp.add_argument("--outdir", required=True)
     gp.set_defaults(fn=_cmd_gen_product_shift)
-    ge = gsub.add_parser("poly-example", parents=[fmt],
+    ge = gsub.add_parser("poly-example",
                          help="two-variable truncated polynomial example")
     ge.add_argument("--q1", type=int, default=2)
     ge.add_argument("--q2", type=int, default=3)

@@ -85,7 +85,6 @@ class DeformationJet:
     kind: str
     order: int
     layers: Mapping[str, tuple[BilinearOp, ...]]
-    exact: bool = False  # True when truncation provably loses nothing
 
     def __post_init__(self):
         if self.kind not in KIND_ROLES:
@@ -387,10 +386,6 @@ def _powers(d: LinearMap, order: int):
     return out
 
 
-def _nilpotent_by(d: LinearMap, order: int) -> bool:
-    return d.power(order + 1).is_zero()
-
-
 def _derived_layers(op: BilinearOp, p1, p2, order: int) -> tuple[BilinearOp, ...]:
     """Layer s sends (x, y) to op(d1^s x, d2^s y) / s!."""
     n_l, n_r = op.left.dim, op.right.dim
@@ -412,8 +407,7 @@ def derive_deformation(target, pair: DerivationPair, order: int):
     """Deform by x *_s y = op(d1^s x, d2^s y) / s! for every operation role.
 
     For module data the rule is read off the semidirect product, so the
-    right action deforms with the roles of d1 and d2 swapped.  The result is
-    flagged exact when either derivation is nilpotent within the order.
+    right action deforms with the roles of d1 and d2 swapped.
     """
     if order < 0:
         raise ValueError("jet order must be nonnegative")
@@ -425,8 +419,7 @@ def derive_deformation(target, pair: DerivationPair, order: int):
         p2 = _powers(pair.d2, order)
         layers = {role: _derived_layers(op, p1, p2, order)
                   for role, op in target.ops.items()}
-        exact = _nilpotent_by(pair.d1, order) or _nilpotent_by(pair.d2, order)
-        return DeformationJet(target.kind, order, layers, exact=exact)
+        return DeformationJet(target.kind, order, layers)
 
     if isinstance(target, ModuleData):
         if target.kind not in ("associative", "commutative-associative"):
@@ -538,11 +531,10 @@ def regular_bimodule_jet(j: DeformationJet, plain: bool = False) -> ModuleDeform
     )
 
 
-def deformation_from_presentation(p: StructurePresentation, order: int,
-                                  exact: bool = False) -> DeformationJet:
+def deformation_from_presentation(p: StructurePresentation, order: int) -> DeformationJet:
     """Split a jet-valued presentation back into rational layers."""
     layers = {role: _split_jet_op(op, order) for role, op in p.ops.items()}
-    return DeformationJet(p.kind, order, layers, exact=exact)
+    return DeformationJet(p.kind, order, layers)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +580,7 @@ def gen_product_shift(base: StructurePresentation, n: int, base_jet: Deformation
     per_layer = [build(base_jet.layers["circ"][s]) for s in range(base_jet.order + 1)]
     layers = {role: tuple(layer[role] for layer in per_layer)
               for role in ("succ", "prec", "dot")}
-    return DeformationJet("tridendriform", base_jet.order, layers, exact=base_jet.exact)
+    return DeformationJet("tridendriform", base_jet.order, layers)
 
 
 def truncated_polynomial_algebra(D: int, labels_prefix: str = "t") -> StructurePresentation:

@@ -84,10 +84,6 @@ def vec_iadd(acc: dict, v: Mapping, factor=None):
     return acc
 
 
-def vec_add(u: Mapping, v: Mapping) -> dict:
-    return vec_clean(vec_iadd(dict(u), v))
-
-
 def vec_sub(u: Mapping, v: Mapping) -> dict:
     acc = dict(u)
     for i, c in v.items():
@@ -95,16 +91,8 @@ def vec_sub(u: Mapping, v: Mapping) -> dict:
     return vec_clean(acc)
 
 
-def vec_scale(factor, v: Mapping) -> dict:
-    return vec_clean({i: factor * c for i, c in v.items()})
-
-
 def vec_is_zero(v: Mapping) -> bool:
     return all(scalar_is_zero(c) for c in v.values())
-
-
-def vec_equal(u: Mapping, v: Mapping) -> bool:
-    return vec_is_zero(vec_sub(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +537,3 @@ def eta_embed(r: TensorElement, ambient: Space = None) -> TensorElement:
     for i, j, c in r.nonzero():
         out[i][nv + j] = c
     return TensorElement(s, s, out)
-
-
-def twist(r: TensorElement) -> TensorElement:
-    return r.twist()

@@ -20,7 +20,8 @@ def rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        # one shared zero: dense matrices are mostly zeros
+        return Fraction(value) if value else ZERO
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -169,12 +170,6 @@ class Jet:
                 terms.append(f"{c}*h^{s}")
         body = " + ".join(terms) if terms else "0"
         return f"Jet({body}; N={self.order})"
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    if not isinstance(a, Jet) or not isinstance(b, Jet):
-        raise TypeError("jet_mul expects two jets")
-    return a * b
 
 
 def jet_div_h(a: Jet) -> Jet:

@@ -19,6 +19,7 @@ Formats
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,11 +43,22 @@ class FileFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # scalars
 
+def _is_int(value) -> bool:
+    """JSON integers only: true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_scalar(text, where: str) -> Fraction:
-    if isinstance(text, int):
+    """An integer, or a "p" / "p/q" string; nothing else is a scalar."""
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise FileFormatError(f"{where}: expected a rational string, got {text!r}")
+    if not _RATIONAL.fullmatch(text):
+        raise FileFormatError(f"{where}: bad rational {text!r} (expected p or p/q)")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -58,9 +70,11 @@ def scalar_text(value) -> str:
 
 
 def scalar_json(value):
-    """Rationals as strings, jets as coefficient lists."""
+    """Rationals as strings, jets as coefficient lists; text passes through."""
     if isinstance(value, Jet):
         return {"jet": [scalar_text(c) for c in value.coeffs]}
+    if isinstance(value, str):
+        return value
     return scalar_text(value)
 
 
@@ -97,12 +111,15 @@ def _need(d: dict, key: str, where: str):
 def _space_from(d: dict, where: str) -> Space:
     dim = _need(d, "dim", where)
     basis = _need(d, "basis", where)
-    if not isinstance(dim, int) or dim <= 0:
+    if not _is_int(dim) or dim <= 0:
         raise FileFormatError(f"{where}: dim must be a positive integer")
     if not isinstance(basis, list) or len(basis) != dim \
             or not all(isinstance(b, str) for b in basis):
         raise FileFormatError(f"{where}: basis must list {dim} labels")
-    return Space(dim, tuple(basis))
+    try:
+        return Space.make(dim, basis)
+    except ValueError as exc:
+        raise FileFormatError(f"{where}: {exc}") from None
 
 
 def _entries_from(items, space: Space, where: str):
@@ -115,7 +132,7 @@ def _entries_from(items, space: Space, where: str):
             raise FileFormatError(f"{where}[{pos}]: expected [i, j, k, scalar]")
         i, j, k, c = item
         for idx in (i, j, k):
-            if not isinstance(idx, int) or not 0 <= idx < space.dim:
+            if not _is_int(idx) or not 0 <= idx < space.dim:
                 raise FileFormatError(
                     f"{where}[{pos}]: index {idx!r} out of range for dim {space.dim}")
         if (i, j, k) in seen:
@@ -286,7 +303,7 @@ def deformation_from_dict(d: dict, where: str = "deformation") -> DeformationJet
     space = _space_from(d, where)
     kind = _check_kind(_need(d, "kind", where), where)
     order = _need(d, "order", where)
-    if not isinstance(order, int) or order < 0:
+    if not _is_int(order) or order < 0:
         raise FileFormatError(f"{where}: order must be a nonnegative integer")
     layers_data = _need(d, "layers", where)
     wanted = set(KIND_ROLES[kind])

@@ -1,8 +1,11 @@
 """Structure kinds, axiom checking, semidirect products and duals.
 
 A StructurePresentation is a based space with one BilinearOp per named role;
-the kind tag fixes the roles and the defining identities.  check_structure
-evaluates every identity on every basis tuple and reports exact residuals.
+the kind tag fixes the roles and the defining identities, which one table
+(IDENTITIES) states as signed sums of words of degree at most two.
+check_structure evaluates each word only where its structure constants are
+nonzero, by joining the tables of its operations, and reports the exact
+residual on every basis tuple where an identity fails.
 Module data is validated through its semidirect product: the data is valid
 precisely when the assembled structure on base + carrier passes the checker
 of the base kind.
@@ -10,22 +13,15 @@ of the base kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import ast
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
-from .linalg import (
-    BilinearOp,
-    LinearMap,
-    Space,
-    direct_sum,
-    vec_clean,
-    vec_iadd,
-    vec_is_zero,
-    vec_sub,
-    vec_unit,
-)
-from .scalars import Jet, scalar_low_order
+from .linalg import BilinearOp, LinearMap, Space, direct_sum
+from .scalars import scalar_is_zero, scalar_low_order
 
 KIND_ROLES = {
     "associative": ("circ",),
@@ -163,207 +159,186 @@ def _residual_order(residual):
 
 
 # ---------------------------------------------------------------------------
-# axiom catalogue
+# identity table
 #
-# Each axiom is (id, arity, fn) where fn consumes sparse basis vectors and
-# returns the residual vector of lhs - rhs.
+# Words are written over one-letter role symbols (ROLE_SYMBOLS) and the
+# variables x, y, z.  Each kind lists its derived symbols in order, each a
+# signed sum of degree-one words in x and y ("0" is the empty sum): c is the
+# assembled product of a splitting, B the assembled post-Poisson bracket, and
+# pre-Poisson reads as post-Poisson with zero bracket and dot.  Then come the
+# defining identities in report order, and the symmetry conditions a
+# quasiclassical limit needs, or None where the kind has no such notion.
 
-def _axioms_for(kind: str, ops: Mapping[str, BilinearOp]):
-    axioms = []
+ROLE_SYMBOLS = {"bracket": "b", "circ": "c", "dot": "d", "prec": "p",
+                "succ": "s", "triangle": "t"}
 
-    def comm(op, name):
-        axioms.append((name, 2, lambda x, y: vec_sub(op.apply(x, y), op.apply(y, x))))
+_COMM = ("Comm", "c(x,y) - c(y,x)")
+_ASSOC = ("Assoc", "c(c(x,y),z) - c(x,c(y,z))")
+_LIE = (("AntiSym", "b(x,y) + b(y,x)"),
+        ("Jacobi", "b(b(x,y),z) + b(b(y,z),x) + b(b(z,x),y)"))
+_SPLIT = ("p(p(x,y),z) - p(x,c(y,z))",
+          "p(s(x,y),z) - s(x,p(y,z))",
+          "s(c(x,y),z) - s(x,s(y,z))")
+_DEN = tuple((f"Den{i}", body) for i, body in enumerate(_SPLIT, 1))
+_TRI = tuple((f"Tri{i}", body) for i, body in enumerate(_SPLIT + (
+    "d(s(x,y),z) - s(x,d(y,z))",
+    "d(p(x,y),z) - d(x,s(y,z))",
+    "p(d(x,y),z) - d(x,p(y,z))",
+    "d(d(x,y),z) - d(x,d(y,z))"), 1))
+_PRELIE = ("PreLie", "t(x,t(y,z)) - t(t(x,y),z) - t(y,t(x,z)) + t(t(y,x),z)")
+_POSTLIE = (("PostL1", "t(x,b(y,z)) - b(t(x,y),z) - b(y,t(x,z))"),
+            ("PostL2", "t(b(x,y),z) - t(x,t(y,z)) + t(t(x,y),z) + t(y,t(x,z))"
+                       " - t(t(y,x),z)"))
+_COMMDOT = ("CommDot", "d(x,y) - d(y,x)")
+_MIRROR = ("SuccPrecMirror", "s(x,y) - p(y,x)")
+_POISSON_COMPAT = (("PostP2a", "b(x,s(y,z)) - s(y,b(x,z)) + d(z,t(y,x))"),
+                   ("PostP2b", "t(x,d(y,z)) - d(t(x,y),z) - d(y,t(x,z))"),
+                   ("PostP5a", "t(c(x,y),z) - s(x,t(y,z)) - s(y,t(x,z))"),
+                   ("PostP5b", "t(x,s(y,z)) - s(y,t(x,z)) - s(B(x,y),z)"))
 
-    def antisym(op, name="AntiSym"):
-        axioms.append((name, 2, lambda x, y: vec_clean(
-            vec_iadd(dict(op.apply(x, y)), op.apply(y, x)))))
+_TABLE = {
+    "associative": ({}, (_ASSOC,), (_COMM,)),
+    "commutative-associative": ({}, (_COMM, _ASSOC), (_COMM,)),
+    "lie": ({}, _LIE, None),
+    "poisson": ({}, _LIE + (_COMM, _ASSOC,
+                            ("Leibniz", "b(x,c(y,z)) - c(b(x,y),z) - c(y,b(x,z))")), None),
+    "zinbiel": ({"p": "s(y,x)", "c": "s(x,y) + p(x,y)"}, _DEN, ()),
+    "dendriform": ({"c": "s(x,y) + p(x,y)"}, _DEN, (_MIRROR,)),
+    "tridendriform": ({"c": "s(x,y) + p(x,y) + d(x,y)"}, _TRI, (_MIRROR, _COMMDOT)),
+    "pre-lie": ({}, (_PRELIE,), None),
+    "post-lie": ({}, _LIE + _POSTLIE, None),
+    "pre-poisson": ({"p": "s(y,x)", "c": "s(x,y) + p(x,y)", "b": "0", "d": "0",
+                     "B": "t(x,y) - t(y,x)"},
+                    (_PRELIE,) + _DEN + _POISSON_COMPAT, None),
+    "post-poisson": ({"p": "s(y,x)", "c": "s(x,y) + p(x,y) + d(x,y)",
+                      "B": "t(x,y) - t(y,x) + b(x,y)"},
+                     _LIE + _POSTLIE + (_COMMDOT,) + _TRI
+                     + (("PostP1", "B(x,c(y,z)) - c(B(x,y),z) - c(y,B(x,z))"),)
+                     + _POISSON_COMPAT,
+                     None),
+}
 
-    def assoc(op, name="Assoc"):
-        axioms.append((name, 3, lambda x, y, z: vec_sub(
-            op.apply(op.apply(x, y), z), op.apply(x, op.apply(y, z)))))
 
-    def jacobi(b, name="Jacobi"):
-        def fn(x, y, z):
-            acc = dict(b.apply(b.apply(x, y), z))
-            vec_iadd(acc, b.apply(b.apply(y, z), x))
-            vec_iadd(acc, b.apply(b.apply(z, x), y))
-            return vec_clean(acc)
-        axioms.append((name, 3, fn))
+def _terms(text: str):
+    """Signed words of a sum such as "c(c(x,y),z) - c(x,c(y,z))".
 
-    def leibniz(b, c, name="Leibniz"):
-        def fn(x, y, z):
-            lhs = b.apply(x, c.apply(y, z))
-            rhs = vec_iadd(dict(c.apply(b.apply(x, y), z)), c.apply(y, b.apply(x, z)))
-            return vec_sub(lhs, rhs)
-        axioms.append((name, 3, fn))
+    A word is (outer, inner, side, variables): inner is None for op(a, b),
+    side 0 for outer(inner(a, b), c) and 1 for outer(a, inner(b, c));
+    variables name the basis vectors in reading order.
+    """
+    def walk(node, sign):
+        if isinstance(node, ast.BinOp):
+            yield from walk(node.left, sign)
+            yield from walk(node.right, sign if isinstance(node.op, ast.Add) else -sign)
+        elif isinstance(node, ast.Call):
+            a, b = node.args
+            if isinstance(a, ast.Call):
+                yield sign, (node.func.id, a.func.id, 0, (a.args[0].id, a.args[1].id, b.id))
+            elif isinstance(b, ast.Call):
+                yield sign, (node.func.id, b.func.id, 1, (a.id, b.args[0].id, b.args[1].id))
+            else:
+                yield sign, (node.func.id, None, None, (a.id, b.id))
+        elif not (isinstance(node, ast.Constant) and node.value == 0):
+            raise ValueError(f"not a sum of words: {ast.unparse(node)}")
 
-    def dendriform(s, p, c, tag=""):
-        axioms.append((f"Den1{tag}", 3, lambda x, y, z: vec_sub(
-            p.apply(p.apply(x, y), z), p.apply(x, c.apply(y, z)))))
-        axioms.append((f"Den2{tag}", 3, lambda x, y, z: vec_sub(
-            p.apply(s.apply(x, y), z), s.apply(x, p.apply(y, z)))))
-        axioms.append((f"Den3{tag}", 3, lambda x, y, z: vec_sub(
-            s.apply(c.apply(x, y), z), s.apply(x, s.apply(y, z)))))
+    return tuple(walk(ast.parse(text, mode="eval").body, 1))
 
-    def tridendriform(s, p, d, c):
-        axioms.append(("Tri1", 3, lambda x, y, z: vec_sub(
-            p.apply(p.apply(x, y), z), p.apply(x, c.apply(y, z)))))
-        axioms.append(("Tri2", 3, lambda x, y, z: vec_sub(
-            p.apply(s.apply(x, y), z), s.apply(x, p.apply(y, z)))))
-        axioms.append(("Tri3", 3, lambda x, y, z: vec_sub(
-            s.apply(c.apply(x, y), z), s.apply(x, s.apply(y, z)))))
-        axioms.append(("Tri4", 3, lambda x, y, z: vec_sub(
-            d.apply(s.apply(x, y), z), s.apply(x, d.apply(y, z)))))
-        axioms.append(("Tri5", 3, lambda x, y, z: vec_sub(
-            d.apply(p.apply(x, y), z), d.apply(x, s.apply(y, z)))))
-        axioms.append(("Tri6", 3, lambda x, y, z: vec_sub(
-            p.apply(d.apply(x, y), z), d.apply(x, p.apply(y, z)))))
-        axioms.append(("Tri7", 3, lambda x, y, z: vec_sub(
-            d.apply(d.apply(x, y), z), d.apply(x, d.apply(y, z)))))
 
-    def prelie(t, name="PreLie"):
-        def fn(x, y, z):
-            acc = dict(t.apply(x, t.apply(y, z)))
-            vec_iadd(acc, t.apply(t.apply(x, y), z), -1)
-            vec_iadd(acc, t.apply(y, t.apply(x, z)), -1)
-            vec_iadd(acc, t.apply(t.apply(y, x), z))
-            return vec_clean(acc)
-        axioms.append((name, 3, fn))
+def _identity(name: str, text: str):
+    terms = _terms(text)
+    return name, len({v for _, word in terms for v in word[3]}), terms
 
-    def postlie(b, t):
-        axioms.append(("PostL1", 3, lambda x, y, z: vec_sub(
-            t.apply(x, b.apply(y, z)),
-            vec_iadd(dict(b.apply(t.apply(x, y), z)), b.apply(y, t.apply(x, z))))))
 
-        def postl2(x, y, z):
-            acc = dict(t.apply(b.apply(x, y), z))
-            vec_iadd(acc, t.apply(x, t.apply(y, z)), -1)
-            vec_iadd(acc, t.apply(t.apply(x, y), z))
-            vec_iadd(acc, t.apply(y, t.apply(x, z)))
-            vec_iadd(acc, t.apply(t.apply(y, x), z), -1)
-            return vec_clean(acc)
-        axioms.append(("PostL2", 3, postl2))
+# kind -> (derived symbols, identities, symmetry conditions or None); every
+# identity is (name, arity, ((sign, word), ...))
+IDENTITIES = {
+    kind: ({sym: _terms(text) for sym, text in derived.items()},
+           tuple(_identity(*row) for row in rows),
+           None if symmetry is None else tuple(_identity(*row) for row in symmetry))
+    for kind, (derived, rows, symmetry) in _TABLE.items()
+}
 
-    def post_poisson_compat(b, b_full, t, s, d, c):
-        # b is the bare bracket role, b_full / c the assembled bracket and product
-        def pp2a(x, y, z):
-            acc = dict(b.apply(x, s.apply(y, z)))
-            vec_iadd(acc, s.apply(y, b.apply(x, z)), -1)
-            vec_iadd(acc, d.apply(z, t.apply(y, x)))
-            return vec_clean(acc)
-        axioms.append(("PostP2a", 3, pp2a))
-        axioms.append(("PostP2b", 3, lambda x, y, z: vec_sub(
-            t.apply(x, d.apply(y, z)),
-            vec_iadd(dict(d.apply(t.apply(x, y), z)), d.apply(y, t.apply(x, z))))))
-        axioms.append(("PostP5a", 3, lambda x, y, z: vec_sub(
-            t.apply(c.apply(x, y), z),
-            vec_iadd(dict(s.apply(x, t.apply(y, z))), s.apply(y, t.apply(x, z))))))
-        axioms.append(("PostP5b", 3, lambda x, y, z: vec_sub(
-            t.apply(x, s.apply(y, z)),
-            vec_iadd(dict(s.apply(y, t.apply(x, z))), s.apply(b_full.apply(x, y), z)))))
 
-    if kind == "associative":
-        assoc(ops["circ"])
-    elif kind == "commutative-associative":
-        comm(ops["circ"], "Comm")
-        assoc(ops["circ"])
-    elif kind == "lie":
-        antisym(ops["bracket"])
-        jacobi(ops["bracket"])
-    elif kind == "poisson":
-        antisym(ops["bracket"])
-        jacobi(ops["bracket"])
-        comm(ops["circ"], "Comm")
-        assoc(ops["circ"])
-        leibniz(ops["bracket"], ops["circ"])
-    elif kind == "zinbiel":
-        s = ops["succ"]
-        p = s.arg_swap()
-        dendriform(s, p, s.add(p))
-    elif kind == "dendriform":
-        s, p = ops["succ"], ops["prec"]
-        dendriform(s, p, s.add(p))
-    elif kind == "tridendriform":
-        s, p, d = ops["succ"], ops["prec"], ops["dot"]
-        tridendriform(s, p, d, s.add(p).add(d))
-    elif kind == "pre-lie":
-        prelie(ops["triangle"])
-    elif kind == "post-lie":
-        antisym(ops["bracket"])
-        jacobi(ops["bracket"])
-        postlie(ops["bracket"], ops["triangle"])
-    elif kind == "pre-poisson":
-        t, s = ops["triangle"], ops["succ"]
-        p = s.arg_swap()
-        c = s.add(p)
-        zero = BilinearOp.zero(s.left, s.right, s.out)
-        prelie(t)
-        dendriform(s, p, c)
-        post_poisson_compat(zero, t.sub(t.arg_swap()), t, s, zero, c)
-    elif kind == "post-poisson":
-        b, t, s, d = ops["bracket"], ops["triangle"], ops["succ"], ops["dot"]
-        p = s.arg_swap()
-        c = s.add(p).add(d)
-        antisym(b)
-        jacobi(b)
-        postlie(b, t)
-        comm(d, "CommDot")
-        tridendriform(s, p, d, c)
-        b_full = t.sub(t.arg_swap()).add(b)
-        leibniz(b_full, c, "PostP1")
-        post_poisson_compat(b, b_full, t, s, d, c)
-    else:  # pragma: no cover
-        raise ValueError(f"no axiom set for kind {kind!r}")
-    return axioms
+def _symbol_ops(p: StructurePresentation, derived) -> dict:
+    ops = {ROLE_SYMBOLS[role]: op for role, op in p.ops.items()}
+    for sym, terms in derived.items():
+        total = BilinearOp.zero(p.space, p.space, p.space)
+        for sign, (role, _, _, variables) in terms:
+            op = ops[role] if variables == ("x", "y") else ops[role].arg_swap()
+            total = total.add(op) if sign > 0 else total.sub(op)
+        ops[sym] = total
+    return ops
+
+
+def _word_values(ops, outer, inner, side):
+    """((basis indices in reading order, output index), coefficient) for every
+    pair of nonzero structure constants that meet in the word; for a word of
+    degree two, inner's output joins outer's input slot."""
+    if inner is None:
+        return ops[outer].entries.items()
+    by_slot = {}
+    for (i, j, k), c in ops[outer].entries.items():
+        slot, other = (i, j) if side == 0 else (j, i)
+        by_slot.setdefault(slot, []).append((other, k, c))
+    return (((i, j, other, k) if side == 0 else (other, i, j, k), c1 * c2)
+            for (i, j, m), c1 in ops[inner].entries.items()
+            for other, k, c2 in by_slot.get(m, ()))
+
+
+def _failures(ops, identities) -> list:
+    """Failures of each identity on basis tuples, in identity then tuple order.
+
+    Each distinct word is joined once per call; a word that a later term
+    reuses is kept until that last use, every other one is streamed.
+    """
+    uses = Counter(word[:3] for _, _, terms in identities for _, word in terms)
+    kept = {}
+    failures = []
+    for name, arity, terms in identities:
+        acc = {}
+        for sign, (outer, inner, side, variables) in terms:
+            key = (outer, inner, side)
+            uses[key] -= 1
+            if key in kept:
+                values = kept[key] if uses[key] else kept.pop(key)
+            else:
+                values = _word_values(ops, *key)
+                if uses[key]:
+                    values = kept[key] = list(values)
+            # (slot indices, output index) -> (x, y[, z], output index)
+            order = itemgetter(*(variables.index(v) for v in "xyz"[:arity]), arity)
+            for at, c in values:
+                at = order(at)
+                if sign < 0:
+                    c = -c
+                acc[at] = acc[at] + c if at in acc else c
+        bad = {}
+        for at, c in acc.items():
+            if not scalar_is_zero(c):
+                bad.setdefault(at[:-1], {})[at[-1]] = c
+        failures.extend(AxiomFailure(name, idx, bad[idx], _residual_order(bad[idx]))
+                        for idx in sorted(bad))
+    return failures
 
 
 def check_structure(p: StructurePresentation, subject: str = "") -> AxiomReport:
-    """Evaluate every defining identity of p.kind on every basis tuple."""
-    n = p.space.dim
-    axioms = _axioms_for(p.kind, p.ops)
-    failures = []
-    for name, arity, fn in axioms:
-        if arity == 2:
-            tuples = ((i, j) for i in range(n) for j in range(n))
-        else:
-            tuples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-        for idx in tuples:
-            residual = fn(*(vec_unit(i) for i in idx))
-            if not vec_is_zero(residual):
-                failures.append(AxiomFailure(name, idx, residual, _residual_order(residual)))
+    """Evaluate every defining identity of p.kind on all basis tuples."""
+    derived, identities, _ = IDENTITIES[p.kind]
+    failures = _failures(_symbol_ops(p, derived), identities)
     return AxiomReport(
         passed=not failures,
         failures=tuple(failures),
-        checked=tuple(name for name, _, _ in axioms),
-        subject=subject or f"{p.kind} on dim {n}",
+        checked=tuple(name for name, _, _ in identities),
+        subject=subject or f"{p.kind} on dim {p.space.dim}",
     )
 
 
 def commutativity_failures(p: StructurePresentation) -> tuple[AxiomFailure, ...]:
     """Symmetry conditions needed before taking a quasiclassical limit."""
-    fails = []
-
-    def sym_check(op_a, op_b, name):
-        n = p.space.dim
-        for i in range(n):
-            for j in range(n):
-                r = vec_sub(op_a.basis(i, j), op_b.basis(j, i))
-                if not vec_is_zero(r):
-                    fails.append(AxiomFailure(name, (i, j), r, _residual_order(r)))
-
-    if p.kind in ("associative", "commutative-associative"):
-        c = p.op("circ")
-        sym_check(c, c, "Comm")
-    elif p.kind in ("dendriform", "tridendriform"):
-        sym_check(p.op("succ"), p.op("prec"), "SuccPrecMirror")
-        if p.kind == "tridendriform":
-            d = p.op("dot")
-            sym_check(d, d, "CommDot")
-    elif p.kind == "zinbiel":
-        pass  # mirrored by definition
-    else:
+    derived, _, symmetry = IDENTITIES[p.kind]
+    if symmetry is None:
         raise ValueError(f"no commutativity notion for kind {p.kind!r}")
-    return tuple(fails)
+    return tuple(_failures(_symbol_ops(p, derived), symmetry))
 
 
 # ---------------------------------------------------------------------------
@@ -519,67 +494,6 @@ def check_module(m: ModuleData, subject: str = "") -> AxiomReport:
     total = semidirect(m)
     report = check_structure(total, subject or f"module over {m.kind} base")
     return report
-
-
-def bimodule_equations_report(m: ModuleData, subject: str = "") -> AxiomReport:
-    """Direct equational form of bimodule(-algebra) validity over an
-    associative base; used only to cross-check the semidirect criterion."""
-    if m.kind != "associative":
-        raise ValueError("equational cross-check is implemented for associative bases")
-    base = m.base
-    circ = base.op("circ")
-    dot = m.carrier_ops["dot"]
-    left, right = m.actions["left"], m.actions["right"]
-    na, nv = base.space.dim, m.carrier.dim
-    failures = []
-
-    def lmap_of(vec, table):
-        acc = LinearMap.zero(m.carrier, m.carrier)
-        for p, c in vec.items():
-            acc = acc.add(table[p].scale(c))
-        return acc
-
-    def record(name, idx, lhs, rhs):
-        r = vec_sub(lhs, rhs)
-        if not vec_is_zero(r):
-            failures.append(AxiomFailure(name, idx, r, _residual_order(r)))
-
-    for i in range(na):
-        for j in range(na):
-            prod = circ.basis(i, j)
-            lhs_l = lmap_of(prod, left)
-            rhs_l = left[i].compose(left[j])
-            if lhs_l != rhs_l:
-                for b in range(nv):
-                    record("BimComp1", (i, j, b), lhs_l.column(b), rhs_l.column(b))
-            mid_l = left[i].compose(right[j])
-            mid_r = right[j].compose(left[i])
-            if mid_l != mid_r:
-                for b in range(nv):
-                    record("BimComp2", (i, j, b), mid_l.column(b), mid_r.column(b))
-            lhs_r = lmap_of(prod, right)
-            rhs_r = right[j].compose(right[i])
-            if lhs_r != rhs_r:
-                for b in range(nv):
-                    record("BimComp3", (i, j, b), lhs_r.column(b), rhs_r.column(b))
-
-    for i in range(na):
-        for a in range(nv):
-            for b in range(nv):
-                u, v = vec_unit(a), vec_unit(b)
-                record("BimAlg1", (i, a, b),
-                       left[i].apply(dot.apply(u, v)),
-                       dot.apply(left[i].apply(u), v))
-                record("BimAlg2", (i, a, b),
-                       dot.apply(right[i].apply(u), v),
-                       dot.apply(u, left[i].apply(v)))
-                record("BimAlg3", (i, a, b),
-                       right[i].apply(dot.apply(u, v)),
-                       dot.apply(u, right[i].apply(v)))
-
-    checked = ("BimComp1", "BimComp2", "BimComp3", "BimAlg1", "BimAlg2", "BimAlg3")
-    return AxiomReport(not failures, tuple(failures), checked,
-                       subject or "bimodule equations")
 
 
 def as_bimodule_layout(m: ModuleData) -> ModuleData:

@@ -155,3 +155,17 @@ def test_module_check_subcommand(poly_dir, tmp_path, capsys):
     code, out, _ = run(["module", "check", mfile], capsys)
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "product-shift", "-n", "2", "--base-D", "2", "--outdir", "{d}"],
+    ["gen", "poly-example", "--D", "2", "--N", "1", "--outdir", "{d}"],
+    ["deform", "derive", "{d}/s.json", "--derivations", "{d}/d.json", "-N", "1",
+     "-o", "{d}/j.json"],
+    ["deform", "qcl", "{d}/j.json", "-o", "{d}/l.json"],
+], ids=["product-shift", "poly-example", "derive", "qcl"])
+def test_file_writers_take_no_format_flag(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(d=tmp_path) for a in argv] + ["--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err

@@ -65,8 +65,7 @@ def test_zero_derivations_give_the_constant_exact_jet():
     p = truncated_polynomial_algebra(3)
     z = LinearMap.zero(p.space, p.space)
     j = derive_deformation(p, DerivationPair(z, z), 3)
-    assert j.exact
-    assert j.layer(1).op("circ").is_zero()
+    assert all(j.layer(s).op("circ").is_zero() for s in range(1, 4))
     assert j.layer0() == p
 
 

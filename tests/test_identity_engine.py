@@ -1,0 +1,346 @@
+"""The sparse identity engine against the dense reference checker.
+
+The oracle below evaluates each identity as closures over sparse basis
+vectors on every basis tuple, in the dense loop order.  check_structure and
+commutativity_failures must give the same verdict, the same checked ids and
+the same failures (axiom, indices, residual, order), in the same order.
+"""
+
+from fractions import Fraction
+from typing import Mapping
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jetalg import (
+    KIND_ROLES,
+    AxiomFailure,
+    AxiomReport,
+    BilinearOp,
+    DeformationJet,
+    Jet,
+    Space,
+    StructurePresentation,
+    check_structure,
+    gen_product_shift,
+    truncated_polynomial_algebra,
+)
+from jetalg.linalg import vec_clean, vec_iadd, vec_is_zero, vec_sub, vec_unit
+from jetalg.structures import _residual_order, commutativity_failures
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: every axiom as a closure, evaluated on all n^arity tuples
+
+def _axioms_for(kind: str, ops: Mapping[str, BilinearOp]):
+    axioms = []
+
+    def comm(op, name):
+        axioms.append((name, 2, lambda x, y: vec_sub(op.apply(x, y), op.apply(y, x))))
+
+    def antisym(op, name="AntiSym"):
+        axioms.append((name, 2, lambda x, y: vec_clean(
+            vec_iadd(dict(op.apply(x, y)), op.apply(y, x)))))
+
+    def assoc(op, name="Assoc"):
+        axioms.append((name, 3, lambda x, y, z: vec_sub(
+            op.apply(op.apply(x, y), z), op.apply(x, op.apply(y, z)))))
+
+    def jacobi(b, name="Jacobi"):
+        def fn(x, y, z):
+            acc = dict(b.apply(b.apply(x, y), z))
+            vec_iadd(acc, b.apply(b.apply(y, z), x))
+            vec_iadd(acc, b.apply(b.apply(z, x), y))
+            return vec_clean(acc)
+        axioms.append((name, 3, fn))
+
+    def leibniz(b, c, name="Leibniz"):
+        def fn(x, y, z):
+            lhs = b.apply(x, c.apply(y, z))
+            rhs = vec_iadd(dict(c.apply(b.apply(x, y), z)), c.apply(y, b.apply(x, z)))
+            return vec_sub(lhs, rhs)
+        axioms.append((name, 3, fn))
+
+    def dendriform(s, p, c, tag=""):
+        axioms.append((f"Den1{tag}", 3, lambda x, y, z: vec_sub(
+            p.apply(p.apply(x, y), z), p.apply(x, c.apply(y, z)))))
+        axioms.append((f"Den2{tag}", 3, lambda x, y, z: vec_sub(
+            p.apply(s.apply(x, y), z), s.apply(x, p.apply(y, z)))))
+        axioms.append((f"Den3{tag}", 3, lambda x, y, z: vec_sub(
+            s.apply(c.apply(x, y), z), s.apply(x, s.apply(y, z)))))
+
+    def tridendriform(s, p, d, c):
+        axioms.append(("Tri1", 3, lambda x, y, z: vec_sub(
+            p.apply(p.apply(x, y), z), p.apply(x, c.apply(y, z)))))
+        axioms.append(("Tri2", 3, lambda x, y, z: vec_sub(
+            p.apply(s.apply(x, y), z), s.apply(x, p.apply(y, z)))))
+        axioms.append(("Tri3", 3, lambda x, y, z: vec_sub(
+            s.apply(c.apply(x, y), z), s.apply(x, s.apply(y, z)))))
+        axioms.append(("Tri4", 3, lambda x, y, z: vec_sub(
+            d.apply(s.apply(x, y), z), s.apply(x, d.apply(y, z)))))
+        axioms.append(("Tri5", 3, lambda x, y, z: vec_sub(
+            d.apply(p.apply(x, y), z), d.apply(x, s.apply(y, z)))))
+        axioms.append(("Tri6", 3, lambda x, y, z: vec_sub(
+            p.apply(d.apply(x, y), z), d.apply(x, p.apply(y, z)))))
+        axioms.append(("Tri7", 3, lambda x, y, z: vec_sub(
+            d.apply(d.apply(x, y), z), d.apply(x, d.apply(y, z)))))
+
+    def prelie(t, name="PreLie"):
+        def fn(x, y, z):
+            acc = dict(t.apply(x, t.apply(y, z)))
+            vec_iadd(acc, t.apply(t.apply(x, y), z), -1)
+            vec_iadd(acc, t.apply(y, t.apply(x, z)), -1)
+            vec_iadd(acc, t.apply(t.apply(y, x), z))
+            return vec_clean(acc)
+        axioms.append((name, 3, fn))
+
+    def postlie(b, t):
+        axioms.append(("PostL1", 3, lambda x, y, z: vec_sub(
+            t.apply(x, b.apply(y, z)),
+            vec_iadd(dict(b.apply(t.apply(x, y), z)), b.apply(y, t.apply(x, z))))))
+
+        def postl2(x, y, z):
+            acc = dict(t.apply(b.apply(x, y), z))
+            vec_iadd(acc, t.apply(x, t.apply(y, z)), -1)
+            vec_iadd(acc, t.apply(t.apply(x, y), z))
+            vec_iadd(acc, t.apply(y, t.apply(x, z)))
+            vec_iadd(acc, t.apply(t.apply(y, x), z), -1)
+            return vec_clean(acc)
+        axioms.append(("PostL2", 3, postl2))
+
+    def post_poisson_compat(b, b_full, t, s, d, c):
+        # b is the bare bracket role, b_full / c the assembled bracket and product
+        def pp2a(x, y, z):
+            acc = dict(b.apply(x, s.apply(y, z)))
+            vec_iadd(acc, s.apply(y, b.apply(x, z)), -1)
+            vec_iadd(acc, d.apply(z, t.apply(y, x)))
+            return vec_clean(acc)
+        axioms.append(("PostP2a", 3, pp2a))
+        axioms.append(("PostP2b", 3, lambda x, y, z: vec_sub(
+            t.apply(x, d.apply(y, z)),
+            vec_iadd(dict(d.apply(t.apply(x, y), z)), d.apply(y, t.apply(x, z))))))
+        axioms.append(("PostP5a", 3, lambda x, y, z: vec_sub(
+            t.apply(c.apply(x, y), z),
+            vec_iadd(dict(s.apply(x, t.apply(y, z))), s.apply(y, t.apply(x, z))))))
+        axioms.append(("PostP5b", 3, lambda x, y, z: vec_sub(
+            t.apply(x, s.apply(y, z)),
+            vec_iadd(dict(s.apply(y, t.apply(x, z))), s.apply(b_full.apply(x, y), z)))))
+
+    if kind == "associative":
+        assoc(ops["circ"])
+    elif kind == "commutative-associative":
+        comm(ops["circ"], "Comm")
+        assoc(ops["circ"])
+    elif kind == "lie":
+        antisym(ops["bracket"])
+        jacobi(ops["bracket"])
+    elif kind == "poisson":
+        antisym(ops["bracket"])
+        jacobi(ops["bracket"])
+        comm(ops["circ"], "Comm")
+        assoc(ops["circ"])
+        leibniz(ops["bracket"], ops["circ"])
+    elif kind == "zinbiel":
+        s = ops["succ"]
+        p = s.arg_swap()
+        dendriform(s, p, s.add(p))
+    elif kind == "dendriform":
+        s, p = ops["succ"], ops["prec"]
+        dendriform(s, p, s.add(p))
+    elif kind == "tridendriform":
+        s, p, d = ops["succ"], ops["prec"], ops["dot"]
+        tridendriform(s, p, d, s.add(p).add(d))
+    elif kind == "pre-lie":
+        prelie(ops["triangle"])
+    elif kind == "post-lie":
+        antisym(ops["bracket"])
+        jacobi(ops["bracket"])
+        postlie(ops["bracket"], ops["triangle"])
+    elif kind == "pre-poisson":
+        t, s = ops["triangle"], ops["succ"]
+        p = s.arg_swap()
+        c = s.add(p)
+        zero = BilinearOp.zero(s.left, s.right, s.out)
+        prelie(t)
+        dendriform(s, p, c)
+        post_poisson_compat(zero, t.sub(t.arg_swap()), t, s, zero, c)
+    elif kind == "post-poisson":
+        b, t, s, d = ops["bracket"], ops["triangle"], ops["succ"], ops["dot"]
+        p = s.arg_swap()
+        c = s.add(p).add(d)
+        antisym(b)
+        jacobi(b)
+        postlie(b, t)
+        comm(d, "CommDot")
+        tridendriform(s, p, d, c)
+        b_full = t.sub(t.arg_swap()).add(b)
+        leibniz(b_full, c, "PostP1")
+        post_poisson_compat(b, b_full, t, s, d, c)
+    else:  # pragma: no cover
+        raise ValueError(f"no axiom set for kind {kind!r}")
+    return axioms
+
+
+def dense_check_structure(p: StructurePresentation, subject: str = "") -> AxiomReport:
+    """Evaluate every defining identity of p.kind on every basis tuple."""
+    n = p.space.dim
+    axioms = _axioms_for(p.kind, p.ops)
+    failures = []
+    for name, arity, fn in axioms:
+        if arity == 2:
+            tuples = ((i, j) for i in range(n) for j in range(n))
+        else:
+            tuples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+        for idx in tuples:
+            residual = fn(*(vec_unit(i) for i in idx))
+            if not vec_is_zero(residual):
+                failures.append(AxiomFailure(name, idx, residual, _residual_order(residual)))
+    return AxiomReport(
+        passed=not failures,
+        failures=tuple(failures),
+        checked=tuple(name for name, _, _ in axioms),
+        subject=subject or f"{p.kind} on dim {n}",
+    )
+
+
+def dense_commutativity_failures(p: StructurePresentation) -> tuple[AxiomFailure, ...]:
+    """Symmetry conditions needed before taking a quasiclassical limit."""
+    fails = []
+
+    def sym_check(op_a, op_b, name):
+        n = p.space.dim
+        for i in range(n):
+            for j in range(n):
+                r = vec_sub(op_a.basis(i, j), op_b.basis(j, i))
+                if not vec_is_zero(r):
+                    fails.append(AxiomFailure(name, (i, j), r, _residual_order(r)))
+
+    if p.kind in ("associative", "commutative-associative"):
+        c = p.op("circ")
+        sym_check(c, c, "Comm")
+    elif p.kind in ("dendriform", "tridendriform"):
+        sym_check(p.op("succ"), p.op("prec"), "SuccPrecMirror")
+        if p.kind == "tridendriform":
+            d = p.op("dot")
+            sym_check(d, d, "CommDot")
+    elif p.kind == "zinbiel":
+        pass  # mirrored by definition
+    else:
+        raise ValueError(f"no commutativity notion for kind {p.kind!r}")
+    return tuple(fails)
+
+
+# ---------------------------------------------------------------------------
+# agreement
+
+def failure_rows(failures):
+    # repr keeps the scalar type: a Jet residual must not turn into a Fraction
+    return [(f.axiom, f.indices, sorted((k, repr(c)) for k, c in f.residual.items()),
+             f.order) for f in failures]
+
+
+def assert_same_report(p):
+    want, got = dense_check_structure(p), check_structure(p)
+    assert (got.passed, got.checked, got.subject) == (want.passed, want.checked, want.subject)
+    assert failure_rows(got.failures) == failure_rows(want.failures)
+    try:
+        want_sym = dense_commutativity_failures(p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            commutativity_failures(p)
+        return
+    assert failure_rows(commutativity_failures(p)) == failure_rows(want_sym)
+
+
+SCALARS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+# order-2 jets; BilinearOp drops the zero jet like any zero coefficient
+JETS = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(Jet)
+
+
+@st.composite
+def presentations(draw, scalars=SCALARS, max_dim=4):
+    """A sparse presentation of a random kind: 0 to 2 dim entries per role."""
+    kind = draw(st.sampled_from(sorted(KIND_ROLES)))
+    n = draw(st.integers(1, max_dim))
+    space = Space.make(n)
+    index = st.integers(0, n - 1)
+    ops = {}
+    for role in KIND_ROLES[kind]:
+        cells = draw(st.dictionaries(st.tuples(index, index, index), scalars,
+                                     max_size=2 * n))
+        ops[role] = BilinearOp(space, space, space, cells)
+    return StructurePresentation(space, ops, kind)
+
+
+def with_zero(space, kind, **ops):
+    zero = BilinearOp.zero(space, space, space)
+    return StructurePresentation(space, {r: ops.get(r, zero) for r in KIND_ROLES[kind]}, kind)
+
+
+def valid_small():
+    """Valid presentations of dim <= 4: the zero structure of every kind,
+    truncated polynomial algebras read three ways, and a product shift."""
+    out = [with_zero(Space.make(n), kind) for kind in sorted(KIND_ROLES) for n in (2, 3)]
+    for D in (2, 3, 4):
+        comm = truncated_polynomial_algebra(D)
+        out += [with_zero(comm.space, kind, circ=comm.op("circ"))
+                for kind in ("associative", "commutative-associative", "poisson")]
+    out.append(gen_product_shift(truncated_polynomial_algebra(2), 2))
+    return out
+
+
+VALID = valid_small()
+
+
+@st.composite
+def perturbed(draw):
+    """A valid presentation with one structure constant moved."""
+    p = draw(st.sampled_from(VALID))
+    role = draw(st.sampled_from(sorted(p.ops)))
+    n = p.space.dim
+    key = draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+    entries = dict(p.op(role).entries)
+    entries[key] = entries.get(key, 0) + draw(SCALARS)
+    ops = dict(p.ops)
+    ops[role] = BilinearOp(p.space, p.space, p.space, entries)
+    return StructurePresentation(p.space, ops, p.kind)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(presentations())
+def test_random_sparse_presentations_agree_with_the_dense_oracle(p):
+    assert_same_report(p)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(perturbed())
+def test_single_entry_perturbations_agree_with_the_dense_oracle(p):
+    assert_same_report(p)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(presentations(scalars=JETS, max_dim=3))
+def test_jet_valued_presentations_agree_with_the_dense_oracle(p):
+    assert_same_report(p)
+
+
+def test_every_valid_instance_passes_both_checkers():
+    for p in VALID:
+        assert dense_check_structure(p).passed and check_structure(p).passed
+
+
+def test_perturbed_poly_jet_agrees_with_the_dense_oracle(poly2):
+    layers = dict(poly2.jet.layers)
+    dots = list(layers["dot"])
+    entries = dict(dots[2].entries)
+    entries[(0, 1, 0)] = entries.get((0, 1, 0), 0) + Fraction(3, 2)
+    dots[2] = BilinearOp(poly2.space, poly2.space, poly2.space, entries)
+    layers["dot"] = tuple(dots)
+    jet = DeformationJet(poly2.jet.kind, poly2.jet.order, layers)
+    p = jet.jet_presentation()
+    report = check_structure(p)
+    assert not report.passed and report.first_failing_order() == 2
+    assert_same_report(p)

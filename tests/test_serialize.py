@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from jetalg import (
+    AxiomFailure,
+    AxiomReport,
     FileFormatError,
     LinearMap,
     OOperatorSpec,
@@ -25,6 +27,7 @@ from jetalg import (
     truncated_polynomial_algebra,
     unsharp,
 )
+from jetalg.cli import _emit, main
 from jetalg.structures import StructurePresentation
 
 
@@ -162,3 +165,39 @@ def test_report_dict_carries_labels_and_residuals():
     assert first["labels"]
     # deterministic and round-trippable through json
     assert json.loads(json.dumps(d)) == d
+
+
+def _structure(**changes):
+    raw = {"dim": 2, "basis": ["a", "b"], "kind": "associative",
+           "ops": {"circ": [[0, 0, 1, "1"]]}}
+    raw.update(changes)
+    return raw
+
+
+@pytest.mark.parametrize("raw, loader", [
+    (_structure(ops={"circ": [[0, 0, 1, "1e3"]]}), load_structure),
+    (_structure(ops={"circ": [[0, 0, 1, "2.5"]]}), load_structure),
+    (_structure(ops={"circ": [[0, 0, 1, True]]}), load_structure),
+    (_structure(dim=True, basis=["a"], ops={"circ": []}), load_structure),
+    (_structure(basis=["a", "a"]), load_structure),
+    (_structure(ops={"circ": [[0, True, 1, "1"]]}), load_structure),
+    ({"dim": 1, "basis": ["e"], "kind": "associative", "order": True,
+      "layers": {"circ": [[], []]}}, load_deformation),
+], ids=["exponent", "decimal", "bool-scalar", "bool-dim", "duplicate-label",
+        "bool-index", "bool-order"])
+def test_loaders_reject_what_the_format_forbids(tmp_path, capsys, raw, loader):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(FileFormatError):
+        loader(path)
+    command = ["check"] if loader is load_structure else ["deform", "check"]
+    assert main(command + [str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_text_residuals_serialize_and_exit_one(capsys):
+    report = AxiomReport(False, (AxiomFailure("step", (), {0: "1 != 2"}),),
+                         ("step",), "diagram")
+    assert report_to_dict(report)["failures"][0]["residual"] == {"0": "1 != 2"}
+    assert _emit(report, "json") == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False

@@ -1,17 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetalg import (
+    AxiomFailure,
+    AxiomReport,
     BilinearOp,
     LinearMap,
     ModuleData,
     Space,
     StructurePresentation,
+    as_bimodule_layout,
     as_post_poisson,
     as_tridendriform,
     assemble_total,
-    bimodule_equations_report,
     check_module,
     check_structure,
     derive_deformation,
@@ -26,6 +30,8 @@ from jetalg import (
     tridendriform_bimodule,
     truncated_polynomial_algebra,
 )
+from jetalg.linalg import vec_is_zero, vec_sub, vec_unit
+from jetalg.structures import _residual_order
 
 
 def perturb(pres, role, i, j, k, eps=Fraction(1)):
@@ -125,6 +131,67 @@ def test_zinbiel_mirror_gives_one_tridendriform(zin2):
 # ---------------------------------------------------------------------------
 # modules: the semidirect criterion and the equational cross-check
 
+def bimodule_equations_report(m: ModuleData, subject: str = "") -> AxiomReport:
+    """Direct equational form of bimodule(-algebra) validity over an
+    associative base: the oracle for check_module's semidirect criterion."""
+    if m.kind != "associative":
+        raise ValueError("equational cross-check is implemented for associative bases")
+    base = m.base
+    circ = base.op("circ")
+    dot = m.carrier_ops["dot"]
+    left, right = m.actions["left"], m.actions["right"]
+    na, nv = base.space.dim, m.carrier.dim
+    failures = []
+
+    def lmap_of(vec, table):
+        acc = LinearMap.zero(m.carrier, m.carrier)
+        for p, c in vec.items():
+            acc = acc.add(table[p].scale(c))
+        return acc
+
+    def record(name, idx, lhs, rhs):
+        r = vec_sub(lhs, rhs)
+        if not vec_is_zero(r):
+            failures.append(AxiomFailure(name, idx, r, _residual_order(r)))
+
+    for i in range(na):
+        for j in range(na):
+            prod = circ.basis(i, j)
+            lhs_l = lmap_of(prod, left)
+            rhs_l = left[i].compose(left[j])
+            if lhs_l != rhs_l:
+                for b in range(nv):
+                    record("BimComp1", (i, j, b), lhs_l.column(b), rhs_l.column(b))
+            mid_l = left[i].compose(right[j])
+            mid_r = right[j].compose(left[i])
+            if mid_l != mid_r:
+                for b in range(nv):
+                    record("BimComp2", (i, j, b), mid_l.column(b), mid_r.column(b))
+            lhs_r = lmap_of(prod, right)
+            rhs_r = right[j].compose(right[i])
+            if lhs_r != rhs_r:
+                for b in range(nv):
+                    record("BimComp3", (i, j, b), lhs_r.column(b), rhs_r.column(b))
+
+    for i in range(na):
+        for a in range(nv):
+            for b in range(nv):
+                u, v = vec_unit(a), vec_unit(b)
+                record("BimAlg1", (i, a, b),
+                       left[i].apply(dot.apply(u, v)),
+                       dot.apply(left[i].apply(u), v))
+                record("BimAlg2", (i, a, b),
+                       dot.apply(right[i].apply(u), v),
+                       dot.apply(u, left[i].apply(v)))
+                record("BimAlg3", (i, a, b),
+                       right[i].apply(dot.apply(u, v)),
+                       dot.apply(u, right[i].apply(v)))
+
+    checked = ("BimComp1", "BimComp2", "BimComp3", "BimAlg1", "BimAlg2", "BimAlg3")
+    return AxiomReport(not failures, tuple(failures), checked,
+                       subject or "bimodule equations")
+
+
 def comm_base(poly):
     return StructurePresentation(
         poly.space, {"circ": poly.presentation.op("dot")},
@@ -172,6 +239,30 @@ def test_bimodule_equations_and_semidirect_fail_together():
                      assoc_layout.carrier_ops, bad_actions)
     assert not bimodule_equations_report(bad).passed
     assert not check_module(bad).passed
+
+
+BIMODULES = [as_bimodule_layout(regular_bimodule(b))
+             for b in (idempotent_line(), truncated_polynomial_algebra(2),
+                       truncated_polynomial_algebra(3))]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_check_module_agrees_with_the_bimodule_equations(data):
+    """One moved action coefficient over an associative base and carrier:
+    the semidirect criterion and the equations give the same verdict."""
+    m = data.draw(st.sampled_from(BIMODULES))
+    role = data.draw(st.sampled_from(("left", "right")))
+    na, nv = m.base.space.dim, m.carrier.dim
+    i = data.draw(st.integers(0, na - 1))
+    r, c = data.draw(st.integers(0, nv - 1)), data.draw(st.integers(0, nv - 1))
+    bump = data.draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    rows = [list(row) for row in m.actions[role][i].matrix]
+    rows[r][c] += bump
+    table = list(m.actions[role])
+    table[i] = LinearMap(m.carrier, m.carrier, rows)
+    moved = ModuleData(m.base, m.carrier, m.carrier_ops, dict(m.actions, **{role: table}))
+    assert bimodule_equations_report(moved).passed == check_module(moved).passed
 
 
 def test_dual_module_uses_transposed_actions(poly2):
