@@ -2,8 +2,11 @@
 
 A deformation is stored layerwise: for each operation role a list of N+1
 rational BilinearOps, layer 0 being the undeformed structure.  Checking a
-deformation means running the ordinary axiom checker with jet-valued
-structure constants, so one code path certifies all orders at once.
+deformation runs the ordinary axiom checker on those layers: the h^s part
+of a word with two operations sums the joins of layer p with layer s - p,
+evaluated in integers, so one code path certifies all orders at once
+without jet arithmetic.  Module jets are checked through their layerwise
+semidirect product.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .structures import (
     AxiomReport,
     ModuleData,
     StructurePresentation,
+    check_layers,
     check_module,
     check_structure,
     commutativity_failures,
@@ -236,24 +240,27 @@ class ModuleDeformationJet:
 # checking and quasiclassical limits
 
 def check_deformation(j) -> AxiomReport:
-    """Check all defining identities with jet coefficients.
+    """Check all defining identities order by order on the rational layers.
 
     Failures carry the lowest h-order at which the identity breaks.  An
-    invalid layer 0 is an input error, not a deformation failure.
+    invalid layer 0 is an input error, not a deformation failure.  Module
+    jets are checked through their layerwise semidirect product.
     """
     if isinstance(j, DeformationJet):
         base_report = check_structure(j.layer0(), "layer 0")
         if not base_report.passed:
             raise ValueError("layer 0 is not a valid structure:\n" + base_report.summary(j.space))
-        return check_structure(j.jet_presentation(),
-                               f"{j.kind} deformation through order {j.order}")
-    if isinstance(j, ModuleDeformationJet):
+        subject = f"{j.kind} deformation through order {j.order}"
+    elif isinstance(j, ModuleDeformationJet):
         base_report = check_module(j.layer0(), "layer 0")
         if not base_report.passed:
             raise ValueError("layer 0 is not a valid module:\n" + base_report.summary())
-        return check_module(j.jet_module(),
-                            f"module deformation through order {j.order}")
-    raise TypeError("check_deformation expects a deformation jet")
+        subject = f"module deformation through order {j.order}"
+        j = j.semidirect_jet()
+    else:
+        raise TypeError("check_deformation expects a deformation jet")
+    layers = {role: tuple(op.entries for op in ops) for role, ops in j.layers.items()}
+    return check_layers(j.kind, layers, j.order, subject)
 
 
 def _require_commutative_layer0(p: StructurePresentation):

@@ -162,7 +162,7 @@ def _matrix_to(mat):
 
 
 def _check_kind(kind, where: str) -> str:
-    if kind not in KIND_ROLES:
+    if not isinstance(kind, str) or kind not in KIND_ROLES:
         known = ", ".join(sorted(KIND_ROLES))
         raise FileFormatError(f"{where}: unknown kind {kind!r}; expected one of {known}")
     return kind
@@ -247,6 +247,8 @@ def module_from_dict(d: dict, where: str = "module",
         raise FileFormatError(f"{where}: no module layout over base kind {kind!r}")
 
     ops_data = d.get("ops", {})
+    if not isinstance(ops_data, dict):
+        raise FileFormatError(f"{where}: ops must map carrier role names to entry lists")
     wanted_ops = set(MODULE_CARRIER_ROLES[kind])
     if set(ops_data) != wanted_ops:
         raise FileFormatError(

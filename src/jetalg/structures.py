@@ -2,10 +2,15 @@
 
 A StructurePresentation is a based space with one BilinearOp per named role;
 the kind tag fixes the roles and the defining identities, which one table
-(IDENTITIES) states as signed sums of words of degree at most two.
-check_structure evaluates each word only where its structure constants are
-nonzero, by joining the tables of its operations, and reports the exact
-residual on every basis tuple where an identity fails.
+(IDENTITIES) states as signed sums of words of degree one or two, each
+identity of a single degree.  The evaluator takes structure constants per
+h-order (one layer for a rational structure, N+1 for a deformation or a
+jet-valued presentation), scales them all by the common denominator L and
+works in Python integers.  It evaluates each word only where its structure
+constants are nonzero, by joining the tables of its operations, with the
+order-s part of a degree-two word summing the joins of layers p and s - p.
+On every basis tuple where an identity fails it reports the exact residual,
+divided back by L^degree.
 Module data is validated through its semidirect product: the data is valid
 precisely when the assembled structure on base + carrier passes the checker
 of the base kind.
@@ -14,14 +19,16 @@ of the base kind.
 from __future__ import annotations
 
 import ast
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping
 
 from .linalg import BilinearOp, LinearMap, Space, direct_sum
-from .scalars import scalar_is_zero, scalar_low_order
+from .scalars import Jet, scalar_low_order
 
 KIND_ROLES = {
     "associative": ("circ",),
@@ -246,11 +253,16 @@ def _terms(text: str):
 
 def _identity(name: str, text: str):
     terms = _terms(text)
-    return name, len({v for _, word in terms for v in word[3]}), terms
+    # one degree per identity: scaling every table by L scales the residual
+    # by L^degree, which is what lets the evaluator work in integers
+    degrees = {1 if word[1] is None else 2 for _, word in terms}
+    if len(degrees) != 1:
+        raise ValueError(f"identity {name} is not homogeneous: {text}")
+    return name, len({v for _, word in terms for v in word[3]}), degrees.pop(), terms
 
 
 # kind -> (derived symbols, identities, symmetry conditions or None); every
-# identity is (name, arity, ((sign, word), ...))
+# identity is (name, arity, degree, ((sign, word), ...))
 IDENTITIES = {
     kind: ({sym: _terms(text) for sym, text in derived.items()},
            tuple(_identity(*row) for row in rows),
@@ -259,43 +271,101 @@ IDENTITIES = {
 }
 
 
-def _symbol_ops(p: StructurePresentation, derived) -> dict:
-    ops = {ROLE_SYMBOLS[role]: op for role, op in p.ops.items()}
+def _layers_of(p: StructurePresentation):
+    """Role -> per-order structure constants of p, and the jet order.
+
+    A rational presentation is one layer, with order None.  In a jet-valued
+    one, layer s holds the h^s coefficients, and a rational constant reads
+    as a constant jet.
+    """
+    orders = {c.order for op in p.ops.values() for c in op.entries.values()
+              if isinstance(c, Jet)}
+    if not orders:
+        return {role: (op.entries,) for role, op in p.ops.items()}, None
+    if len(orders) > 1:
+        low, high = sorted(orders)[:2]
+        raise ValueError(f"jet order mismatch: {low} vs {high}")
+    order = orders.pop()
+    layers = {}
+    for role, op in p.ops.items():
+        per_order = [{} for _ in range(order + 1)]
+        for key, c in op.entries.items():
+            if isinstance(c, Jet):
+                for layer, coeff in zip(per_order, c.coeffs):
+                    if coeff:
+                        layer[key] = coeff
+            else:
+                per_order[0][key] = c
+        layers[role] = tuple(per_order)
+    return layers, order
+
+
+def _int_ops(layers, derived):
+    """(L, role symbol -> per-order {(i, j, k): int}): every table scaled by
+    the lcm L of all denominators, derived symbols summed from them."""
+    scale = math.lcm(*{c.denominator for per_order in layers.values()
+                       for entries in per_order for c in entries.values()})
+    ops = {ROLE_SYMBOLS[role]: tuple({key: c.numerator * (scale // c.denominator)
+                                      for key, c in entries.items()}
+                                     for entries in per_order)
+           for role, per_order in layers.items()}
+    orders = len(next(iter(ops.values())))
     for sym, terms in derived.items():
-        total = BilinearOp.zero(p.space, p.space, p.space)
-        for sign, (role, _, _, variables) in terms:
-            op = ops[role] if variables == ("x", "y") else ops[role].arg_swap()
-            total = total.add(op) if sign > 0 else total.sub(op)
-        ops[sym] = total
-    return ops
+        per_order = []
+        for s in range(orders):
+            total = {}
+            for sign, (role, _, _, variables) in terms:
+                swap = variables != ("x", "y")
+                for (i, j, k), c in ops[role][s].items():
+                    key = (j, i, k) if swap else (i, j, k)
+                    total[key] = total.get(key, 0) + (c if sign > 0 else -c)
+            per_order.append({key: c for key, c in total.items() if c})
+        ops[sym] = tuple(per_order)
+    return scale, ops
 
 
 def _word_values(ops, outer, inner, side):
-    """((basis indices in reading order, output index), coefficient) for every
-    pair of nonzero structure constants that meet in the word; for a word of
-    degree two, inner's output joins outer's input slot."""
+    """Per h-order, ((slot indices, output index), coefficient) for every pair
+    of nonzero structure constants that meet in the word.
+
+    A degree-one word at order s is layer s.  For a degree-two word, inner's
+    output joins outer's input slot, and order s sums the joins of inner's
+    layer p with outer's layer s - p; the slot indices are inner's two
+    inputs, then outer's other input.
+    """
     if inner is None:
-        return ops[outer].entries.items()
-    by_slot = {}
-    for (i, j, k), c in ops[outer].entries.items():
-        slot, other = (i, j) if side == 0 else (j, i)
-        by_slot.setdefault(slot, []).append((other, k, c))
-    return (((i, j, other, k) if side == 0 else (other, i, j, k), c1 * c2)
-            for (i, j, m), c1 in ops[inner].entries.items()
-            for other, k, c2 in by_slot.get(m, ()))
+        return [layer.items() for layer in ops[outer]]
+    slots = []
+    for layer in ops[outer]:
+        by_slot = {}
+        for (i, j, k), c in layer.items():
+            slot, other = (i, j) if side == 0 else (j, i)
+            by_slot.setdefault(slot, []).append((other, k, c))
+        slots.append(by_slot)
+    inner_layers = ops[inner]
+    return [chain.from_iterable(
+                (((i, j, other, k), c1 * c2)
+                 for (i, j, m), c1 in inner_layers[p].items()
+                 for other, k, c2 in by_slot.get(m, ()))
+                for p, by_slot in enumerate(reversed(slots[:s + 1])))
+            for s in range(len(slots))]
 
 
-def _failures(ops, identities) -> list:
+def _failures(scale, ops, identities, order) -> list:
     """Failures of each identity on basis tuples, in identity then tuple order.
 
-    Each distinct word is joined once per call; a word that a later term
-    reuses is kept until that last use, every other one is streamed.
+    scale and ops are _int_ops's L and integer tables; residuals come out
+    divided by L^degree, as rationals for order None and as jets of that
+    order otherwise.  Each distinct word is joined once per call; a word
+    that a later term reuses is kept until that last use, every other one
+    is streamed.
     """
-    uses = Counter(word[:3] for _, _, terms in identities for _, word in terms)
+    orders = 1 if order is None else order + 1
+    uses = Counter(word[:3] for *_, terms in identities for _, word in terms)
     kept = {}
     failures = []
-    for name, arity, terms in identities:
-        acc = {}
+    for name, arity, degree, terms in identities:
+        accs = [{} for _ in range(orders)]
         for sign, (outer, inner, side, variables) in terms:
             key = (outer, inner, side)
             uses[key] -= 1
@@ -304,33 +374,60 @@ def _failures(ops, identities) -> list:
             else:
                 values = _word_values(ops, *key)
                 if uses[key]:
-                    values = kept[key] = list(values)
-            # (slot indices, output index) -> (x, y[, z], output index)
-            order = itemgetter(*(variables.index(v) for v in "xyz"[:arity]), arity)
-            for at, c in values:
-                at = order(at)
-                if sign < 0:
-                    c = -c
-                acc[at] = acc[at] + c if at in acc else c
+                    values = kept[key] = [list(v) for v in values]
+            # slot indices in reading order: outer(a, inner(b, c)) joins as
+            # (b, c, a)
+            reading = (2, 0, 1) if side == 1 else (0, 1, 2)
+            place = itemgetter(*(reading[variables.index(v)] for v in "xyz"[:arity]), arity)
+            for acc, layer in zip(accs, values):
+                if sign > 0:
+                    for at, c in layer:
+                        at = place(at)
+                        acc[at] = acc.get(at, 0) + c
+                else:
+                    for at, c in layer:
+                        at = place(at)
+                        acc[at] = acc.get(at, 0) - c
         bad = {}
-        for at, c in acc.items():
-            if not scalar_is_zero(c):
-                bad.setdefault(at[:-1], {})[at[-1]] = c
-        failures.extend(AxiomFailure(name, idx, bad[idx], _residual_order(bad[idx]))
-                        for idx in sorted(bad))
+        for s, acc in enumerate(accs):
+            for at, c in acc.items():
+                if c:
+                    bad.setdefault(at[:-1], {}).setdefault(at[-1], [0] * orders)[s] = c
+        denominator = scale ** degree
+        for idx in sorted(bad):
+            cells = bad[idx]
+            if order is None:
+                residual = {k: Fraction(cs[0], denominator) for k, cs in cells.items()}
+                low = 0
+            else:
+                residual = {k: Jet.from_layers([Fraction(c, denominator) if c else 0
+                                                 for c in cs], order)
+                            for k, cs in cells.items()}
+                low = min(next(s for s, c in enumerate(cs) if c) for cs in cells.values())
+            failures.append(AxiomFailure(name, idx, residual, low))
     return failures
 
 
-def check_structure(p: StructurePresentation, subject: str = "") -> AxiomReport:
-    """Evaluate every defining identity of p.kind on all basis tuples."""
-    derived, identities, _ = IDENTITIES[p.kind]
-    failures = _failures(_symbol_ops(p, derived), identities)
+def check_layers(kind: str, layers, order, subject: str) -> AxiomReport:
+    """Evaluate every defining identity of kind on structure constants given
+    per h-order: layers maps each role to order + 1 mappings (i, j, k) ->
+    rational, one for each power of h.  order None reads a single layer as a
+    rational structure."""
+    derived, identities, _ = IDENTITIES[kind]
+    failures = _failures(*_int_ops(layers, derived), identities, order)
     return AxiomReport(
         passed=not failures,
         failures=tuple(failures),
-        checked=tuple(name for name, _, _ in identities),
-        subject=subject or f"{p.kind} on dim {p.space.dim}",
+        checked=tuple(name for name, *_ in identities),
+        subject=subject,
     )
+
+
+def check_structure(p: StructurePresentation, subject: str = "") -> AxiomReport:
+    """Evaluate every defining identity of p.kind on all basis tuples; a
+    jet-valued p is checked layer by layer and reports jet residuals."""
+    layers, order = _layers_of(p)
+    return check_layers(p.kind, layers, order, subject or f"{p.kind} on dim {p.space.dim}")
 
 
 def commutativity_failures(p: StructurePresentation) -> tuple[AxiomFailure, ...]:
@@ -338,7 +435,8 @@ def commutativity_failures(p: StructurePresentation) -> tuple[AxiomFailure, ...]
     derived, _, symmetry = IDENTITIES[p.kind]
     if symmetry is None:
         raise ValueError(f"no commutativity notion for kind {p.kind!r}")
-    return tuple(_failures(_symbol_ops(p, derived), symmetry))
+    layers, order = _layers_of(p)
+    return tuple(_failures(*_int_ops(layers, derived), symmetry, order))
 
 
 # ---------------------------------------------------------------------------

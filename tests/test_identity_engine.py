@@ -1,9 +1,10 @@
 """The sparse identity engine against the dense reference checker.
 
 The oracle below evaluates each identity as closures over sparse basis
-vectors on every basis tuple, in the dense loop order.  check_structure and
-commutativity_failures must give the same verdict, the same checked ids and
-the same failures (axiom, indices, residual, order), in the same order.
+vectors on every basis tuple, in the dense loop order, with rational or
+jet-valued scalars.  check_structure, commutativity_failures and
+check_deformation must give the same verdict, the same checked ids and the
+same failures (axiom, indices, residual, order), in the same order.
 """
 
 from fractions import Fraction
@@ -20,10 +21,21 @@ from jetalg import (
     BilinearOp,
     DeformationJet,
     Jet,
+    LinearMap,
+    ModuleDeformationJet,
     Space,
     StructurePresentation,
+    check_deformation,
+    check_module,
     check_structure,
+    derive_deformation,
     gen_product_shift,
+    gen_truncated_poly_example,
+    module_derivation_pair,
+    regular_bimodule,
+    regular_bimodule_jet,
+    semidirect,
+    tridendriform_bimodule_jet,
     truncated_polynomial_algebra,
 )
 from jetalg.linalg import vec_clean, vec_iadd, vec_is_zero, vec_sub, vec_unit
@@ -240,10 +252,13 @@ def failure_rows(failures):
              f.order) for f in failures]
 
 
-def assert_same_report(p):
-    want, got = dense_check_structure(p), check_structure(p)
+def assert_same_failures(got, want):
     assert (got.passed, got.checked, got.subject) == (want.passed, want.checked, want.subject)
     assert failure_rows(got.failures) == failure_rows(want.failures)
+
+
+def assert_same_report(p):
+    assert_same_failures(check_structure(p), dense_check_structure(p))
     try:
         want_sym = dense_commutativity_failures(p)
     except ValueError:
@@ -256,8 +271,10 @@ def assert_same_report(p):
 SCALARS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
 
 
-# order-2 jets; BilinearOp drops the zero jet like any zero coefficient
-JETS = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(Jet)
+# order-2 jets with rational coefficients, so the evaluator's common
+# denominator is not 1; BilinearOp drops the zero jet like any zero coefficient
+JETS = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=4),
+                min_size=3, max_size=3).map(Jet)
 
 
 @st.composite
@@ -344,3 +361,136 @@ def test_perturbed_poly_jet_agrees_with_the_dense_oracle(poly2):
     report = check_structure(p)
     assert not report.passed and report.first_failing_order() == 2
     assert_same_report(p)
+
+
+# ---------------------------------------------------------------------------
+# deformations: layer by layer against the oracle on the merged jet
+
+def _moved(op, key, amount):
+    entries = dict(op.entries)
+    entries[key] = entries.get(key, 0) + amount
+    return BilinearOp(op.left, op.right, op.out, entries)
+
+
+@st.composite
+def deformation_jets(draw):
+    """A valid layer 0 of a random kind and N = 0..3 rational layers above
+    it, each a scaled copy of layer 0 (which keeps every identity) or random
+    sparse constants; then maybe one structure constant moved at a random
+    layer."""
+    p = draw(st.sampled_from(VALID))
+    order = draw(st.integers(0, 3))
+    n = p.space.dim
+    key = st.tuples(*[st.integers(0, n - 1)] * 3)
+    scaled = draw(st.booleans())
+    layers = {}
+    for role, op in p.ops.items():
+        per_order = [op]
+        for _ in range(order):
+            if scaled:
+                per_order.append(op.scale(draw(SCALARS)))
+            else:
+                cells = draw(st.dictionaries(key, SCALARS, max_size=n))
+                per_order.append(BilinearOp(p.space, p.space, p.space, cells))
+        layers[role] = per_order
+    if draw(st.booleans()):
+        role = draw(st.sampled_from(sorted(layers)))
+        s = draw(st.integers(0, order))
+        layers[role][s] = _moved(layers[role][s], draw(key), draw(SCALARS))
+    return DeformationJet(p.kind, order, layers)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(deformation_jets())
+def test_deformation_checks_agree_with_the_dense_oracle_on_the_merged_jet(j):
+    if not dense_check_structure(j.layer0()).passed:
+        with pytest.raises(ValueError, match="layer 0 is not a valid structure"):
+            check_deformation(j)
+        return
+    subject = f"{j.kind} deformation through order {j.order}"
+    assert_same_failures(check_deformation(j),
+                         dense_check_structure(j.jet_presentation(), subject))
+
+
+def _small_module_jets():
+    """Module jets derived from the D=2 poly example at N = 1..3: its
+    tridendriform bimodule, its regular bimodule with and without carrier
+    product, and a module deformed by derivations of a commutative base."""
+    out = []
+    for order in (1, 2, 3):
+        ex = gen_truncated_poly_example(2, 3, 2, order)
+        base = StructurePresentation(ex.space, {"circ": ex.presentation.op("dot")},
+                                     "commutative-associative")
+        context = regular_bimodule(base)
+        pair = module_derivation_pair(ex.derivations, ex.derivations, context)
+        out += [tridendriform_bimodule_jet(ex.jet),
+                regular_bimodule_jet(derive_deformation(base, ex.derivations, order)),
+                regular_bimodule_jet(derive_deformation(base, ex.derivations, order),
+                                     plain=True),
+                derive_deformation(context, pair, order)]
+    return out
+
+
+MODULE_JETS = _small_module_jets()
+
+
+@st.composite
+def module_jets(draw):
+    """A derived module jet, maybe with one coefficient moved at a random
+    layer: an action matrix cell, a carrier product or a base product."""
+    mj = draw(st.sampled_from(MODULE_JETS))
+    where = draw(st.sampled_from(("none", "left", "right", "dot", "circ")))
+    if where == "none":
+        return mj
+    s = draw(st.integers(0, mj.order))
+    amount = draw(SCALARS)
+    base_layers, carrier_layers = dict(mj.base_layers), dict(mj.carrier_layers)
+    action_layers = dict(mj.action_layers)
+    if where in ("left", "right"):
+        nv = mj.carrier.dim
+        i = draw(st.integers(0, mj.base_space.dim - 1))
+        r, c = draw(st.integers(0, nv - 1)), draw(st.integers(0, nv - 1))
+        tables = [list(t) for t in action_layers[where]]
+        rows = [list(row) for row in tables[s][i].matrix]
+        rows[r][c] += amount
+        tables[s][i] = LinearMap(mj.carrier, mj.carrier, rows)
+        action_layers[where] = tables
+    else:
+        layers = carrier_layers if where == "dot" else base_layers
+        n = (mj.carrier if where == "dot" else mj.base_space).dim
+        per_order = list(layers[where])
+        per_order[s] = _moved(per_order[s], draw(st.tuples(*[st.integers(0, n - 1)] * 3)),
+                              amount)
+        layers[where] = per_order
+    return ModuleDeformationJet(mj.order, base_layers, carrier_layers, action_layers)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(module_jets())
+def test_module_deformation_checks_agree_with_the_merged_jet_module(mj):
+    if not check_module(mj.layer0()).passed:
+        with pytest.raises(ValueError, match="layer 0 is not a valid module"):
+            check_deformation(mj)
+        return
+    subject = f"module deformation through order {mj.order}"
+    got = check_deformation(mj)
+    assert_same_failures(got, check_module(mj.jet_module(), subject))
+    assert_same_failures(got, dense_check_structure(semidirect(mj.jet_module()), subject))
+
+
+def test_deformation_checks_make_no_jet_multiplications(poly3, monkeypatch):
+    module_jet = tridendriform_bimodule_jet(poly3.jet)
+    calls = []
+    mul = Jet.__mul__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(Jet, "__rmul__", counted)
+    assert check_deformation(poly3.jet).passed
+    assert check_deformation(module_jet).passed
+    assert calls == []
+    Jet.h(1) * 2
+    assert len(calls) == 1

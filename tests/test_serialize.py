@@ -174,6 +174,17 @@ def _structure(**changes):
     return raw
 
 
+def _module(**changes):
+    raw = {"dim": 1, "basis": ["v"], "base": _structure(), "ops": {"dot": []},
+           "actions": {"left": [[["0"]], [["0"]]], "right": [[["0"]], [["0"]]]}}
+    raw.update(changes)
+    return raw
+
+
+COMMANDS = {load_structure: ["check"], load_deformation: ["deform", "check"],
+            load_module: ["module", "check"]}
+
+
 @pytest.mark.parametrize("raw, loader", [
     (_structure(ops={"circ": [[0, 0, 1, "1e3"]]}), load_structure),
     (_structure(ops={"circ": [[0, 0, 1, "2.5"]]}), load_structure),
@@ -183,16 +194,27 @@ def _structure(**changes):
     (_structure(ops={"circ": [[0, True, 1, "1"]]}), load_structure),
     ({"dim": 1, "basis": ["e"], "kind": "associative", "order": True,
       "layers": {"circ": [[], []]}}, load_deformation),
+    (_structure(kind=["x"]), load_structure),
+    ({"dim": 1, "basis": ["e"], "kind": {}, "order": 0,
+      "layers": {"circ": [[]]}}, load_deformation),
+    (_module(ops=[["dot"]]), load_module),
+    (_module(ops=1), load_module),
 ], ids=["exponent", "decimal", "bool-scalar", "bool-dim", "duplicate-label",
-        "bool-index", "bool-order"])
+        "bool-index", "bool-order", "list-kind", "object-kind", "list-module-ops",
+        "int-module-ops"])
 def test_loaders_reject_what_the_format_forbids(tmp_path, capsys, raw, loader):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(FileFormatError):
         loader(path)
-    command = ["check"] if loader is load_structure else ["deform", "check"]
-    assert main(command + [str(path)]) == 2
+    assert main(COMMANDS[loader] + [str(path)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_the_module_loader_fixture_is_valid(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(_module()))
+    assert load_module(path).carrier.dim == 1
 
 
 def test_text_residuals_serialize_and_exit_one(capsys):
