@@ -494,3 +494,11 @@ def test_deformation_checks_make_no_jet_multiplications(poly3, monkeypatch):
     assert calls == []
     Jet.h(1) * 2
     assert len(calls) == 1
+
+
+def test_jets_of_different_orders_are_rejected():
+    space = Space.make(2)
+    circ = BilinearOp(space, space, space, {(0, 0, 1): Jet.h(1), (1, 0, 1): Jet.h(2)})
+    p = StructurePresentation(space, {"circ": circ}, "associative")
+    with pytest.raises(ValueError, match="jet order mismatch: 1 vs 2"):
+        check_structure(p)
