@@ -21,10 +21,8 @@ from .linalg import (
     LinearMap,
     Space,
     block_diag,
-    direct_sum,
-    vec_is_zero,
-    vec_sub,
-    vec_unit,
+    pullback,
+    pushforward,
 )
 from .scalars import Jet
 from .structures import (
@@ -40,8 +38,6 @@ from .structures import (
     right_multiplications,
     semidirect,
 )
-
-ONE = Fraction(1)
 
 
 def _layers_consistent(layers, order, space):
@@ -64,18 +60,6 @@ def _merge_layers(ops: tuple[BilinearOp, ...], order: int) -> BilinearOp:
         coeffs = [op.entries.get(key, 0) for op in ops]
         entries[key] = Jet.from_layers(coeffs, order)
     return BilinearOp(space, ops[0].right, ops[0].out, entries)
-
-
-def _split_jet_op(op: BilinearOp, order: int) -> tuple[BilinearOp, ...]:
-    layers = []
-    for s in range(order + 1):
-        entries = {}
-        for key, c in op.entries.items():
-            if not isinstance(c, Jet):
-                raise ValueError("expected jet-valued structure constants")
-            entries[key] = c.coeff(s)
-        layers.append(BilinearOp(op.left, op.right, op.out, entries))
-    return tuple(layers)
 
 
 def _antisym(op: BilinearOp) -> BilinearOp:
@@ -188,35 +172,6 @@ class ModuleDeformationJet:
 
     def layer0(self) -> ModuleData:
         return self.layer(0)
-
-    def jet_module(self) -> ModuleData:
-        order = self.order
-        base = StructurePresentation(
-            self.base_space,
-            {"circ": _merge_layers(self.base_layers["circ"], order)},
-            "associative",
-        )
-
-        def merge_tables(tables):
-            out = []
-            n = len(tables[0])
-            for i in range(n):
-                mats = [tables[s][i] for s in range(order + 1)]
-                jet_mat = [
-                    [Jet.from_layers([m.matrix[r][c] for m in mats], order)
-                     for c in range(self.carrier.dim)]
-                    for r in range(self.carrier.dim)
-                ]
-                out.append(LinearMap(self.carrier, self.carrier, jet_mat))
-            return tuple(out)
-
-        return ModuleData(
-            base,
-            self.carrier,
-            {"dot": _merge_layers(self.carrier_layers["dot"], order)},
-            {"left": merge_tables(self.action_layers["left"]),
-             "right": merge_tables(self.action_layers["right"])},
-        )
 
     def semidirect_jet(self) -> DeformationJet:
         """Assemble each layer on base + carrier into an associative jet."""
@@ -361,18 +316,9 @@ class DerivationPair:
 
 def derivation_failures(d: LinearMap, op: BilinearOp):
     """Basis pairs where d fails the Leibniz rule for op."""
-    bad = []
-    n = op.left.dim
-    for i in range(n):
-        for j in range(n):
-            u, v = vec_unit(i), vec_unit(j)
-            lhs = d.apply(op.apply(u, v))
-            rhs = op.apply(d.apply(u), v)
-            for k, c in op.apply(u, d.apply(v)).items():
-                rhs[k] = rhs.get(k, 0) + c
-            if not vec_is_zero(vec_sub(lhs, rhs)):
-                bad.append((i, j))
-    return bad
+    ident = LinearMap.identity(op.left)
+    residual = pushforward(d, op).sub(pullback(op, d, ident)).sub(pullback(op, ident, d))
+    return sorted({(i, j) for i, j, _ in residual.entries})
 
 
 def _check_derivations(pair: DerivationPair, ops: Mapping[str, BilinearOp]):
@@ -536,12 +482,6 @@ def regular_bimodule_jet(j: DeformationJet, plain: bool = False) -> ModuleDeform
         {"left": tuple(left_multiplications(c) for c in circ),
          "right": tuple(right_multiplications(c) for c in circ)},
     )
-
-
-def deformation_from_presentation(p: StructurePresentation, order: int) -> DeformationJet:
-    """Split a jet-valued presentation back into rational layers."""
-    layers = {role: _split_jet_op(op, order) for role, op in p.ops.items()}
-    return DeformationJet(p.kind, order, layers)
 
 
 # ---------------------------------------------------------------------------

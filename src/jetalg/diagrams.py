@@ -17,7 +17,6 @@ from .deform import (
     DeformationJet,
     ModuleDeformationJet,
     check_deformation,
-    deformation_from_presentation,
     derive_deformation,
     gen_integration_zinbiel,
     gen_truncated_poly_example,
@@ -32,6 +31,7 @@ from .operators import (
     check_o_operator,
     check_scalar_deformation,
     induce_splitting,
+    induce_splitting_jet,
 )
 from .scalars import Jet
 from .structures import (
@@ -239,8 +239,7 @@ def _diagotri(q1, q2, D, N):
     split0 = induce_splitting(spec)
     run.sub("splitting", check_structure(split0, "induced splitting"))
     jet_a = derive_deformation(split0, pair, N)
-    jet_spec = OOperatorSpec(ex.operator, Fraction(1), mj.jet_module())
-    jet_b = deformation_from_presentation(induce_splitting(jet_spec), N)
+    jet_b = induce_splitting_jet(spec, mj)
     run.equal("paths-agree", jet_a, jet_b)
     run.sub("jet-splitting", check_deformation(jet_b))
 
@@ -271,9 +270,7 @@ def _diaid(q1, q2, D, N):
     run.equal("split-roundtrip", induce_splitting(spec), j.layer0())
 
     run.sub("jet-operator", check_scalar_deformation(spec, mj))
-    jet_spec = OOperatorSpec(ident, lam, mj.jet_module())
-    run.equal("jet-roundtrip",
-              deformation_from_presentation(induce_splitting(jet_spec), j.order), j)
+    run.equal("jet-roundtrip", induce_splitting_jet(spec, mj), j)
 
     run.equal("limit-module", qcl(mj), post_poisson_module(qcl(j)))
     limit_spec = OOperatorSpec(ident, lam, qcl(mj))
@@ -432,9 +429,7 @@ def _dendriform_final(D, N):
     run.sub("operator", check_o_operator(spec))
     run.equal("split-roundtrip", induce_splitting(spec), j.layer0())
     run.sub("jet-operator", check_scalar_deformation(spec, mj))
-    jet_spec = OOperatorSpec(ident, Fraction(0), mj.jet_module())
-    run.equal("jet-roundtrip",
-              deformation_from_presentation(induce_splitting(jet_spec), j.order), j)
+    run.equal("jet-roundtrip", induce_splitting_jet(spec, mj), j)
     limit_spec = OOperatorSpec(ident, Fraction(0), qcl(mj))
     run.sub("limit-operator", check_o_operator(limit_spec))
     run.equal("limit-roundtrip", induce_splitting(limit_spec), limit)

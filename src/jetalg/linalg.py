@@ -295,14 +295,6 @@ class LinearMap:
                         out[i][j] = out[i][j] + c * d
         return LinearMap(other.domain, self.codomain, out)
 
-    def power(self, s: int) -> "LinearMap":
-        if self.domain != self.codomain:
-            raise ValueError("powers need an endomorphism")
-        acc = LinearMap.identity(self.domain)
-        for _ in range(s):
-            acc = self.compose(acc)
-        return acc
-
     def add(self, other: "LinearMap") -> "LinearMap":
         self._require_same_spaces(other)
         return LinearMap(self.domain, self.codomain,
@@ -377,6 +369,47 @@ def block_diag(a: LinearMap, b: LinearMap, space: Space = None) -> LinearMap:
 
 
 # ---------------------------------------------------------------------------
+# operations pulled back and pushed forward along linear maps
+
+def pullback(op: BilinearOp, f: LinearMap, g: LinearMap) -> BilinearOp:
+    """op(f x, g y) as an operation on f.domain x g.domain."""
+    if (f.codomain, g.codomain) != (op.left, op.right):
+        raise ValueError("pullback maps do not land in the operation's arguments")
+    rows_f, rows_g = _nonzero_rows(f), _nonzero_rows(g)
+    acc = {}
+    for (i, j, k), c in op.entries.items():
+        for a, fa in rows_f[i]:
+            fc = fa * c
+            for b, gb in rows_g[j]:
+                key = (a, b, k)
+                acc[key] = acc.get(key, 0) + fc * gb
+    return BilinearOp(f.domain, g.domain, op.out, acc)
+
+
+def pushforward(f: LinearMap, op: BilinearOp) -> BilinearOp:
+    """f(op(x, y)) as an operation into f.codomain."""
+    if f.domain != op.out:
+        raise ValueError("pushforward map does not start where the operation lands")
+    cols = [[] for _ in range(f.domain.dim)]
+    for k, row in enumerate(f.matrix):
+        for m, c in enumerate(row):
+            if not scalar_is_zero(c):
+                cols[m].append((k, c))
+    acc = {}
+    for (a, b, m), c in op.entries.items():
+        for k, fk in cols[m]:
+            key = (a, b, k)
+            acc[key] = acc.get(key, 0) + fk * c
+    return BilinearOp(op.left, op.right, f.codomain, acc)
+
+
+def _nonzero_rows(f: LinearMap):
+    """Row i of f as (j, c) pairs: the nonzero e_i-coefficients of f(e_j)."""
+    return [[(j, c) for j, c in enumerate(row) if not scalar_is_zero(c)]
+            for row in f.matrix]
+
+
+# ---------------------------------------------------------------------------
 
 class TensorElement:
     """Element of left (x) right, stored as a dense matrix."""
@@ -439,9 +472,6 @@ class TensorElement:
     def sym(self) -> "TensorElement":
         return self.add(self.twist()).scale(HALF)
 
-    def skew(self) -> "TensorElement":
-        return self.sub(self.twist()).scale(HALF)
-
     def is_zero(self) -> bool:
         return all(scalar_is_zero(c) for row in self.matrix for c in row)
 
@@ -493,13 +523,6 @@ class Tensor3:
 
     def sorted_entries(self):
         return sorted(self.entries.items())
-
-    def low_order(self):
-        """Minimal h-adic valuation over all entries, None when zero."""
-        from .scalars import scalar_low_order
-        lows = [scalar_low_order(c) for c in self.entries.values()]
-        lows = [x for x in lows if x is not None]
-        return min(lows) if lows else None
 
     def __eq__(self, other):
         if not isinstance(other, Tensor3):

@@ -1,9 +1,14 @@
 """Relative Rota-Baxter style operators: checking, deformation, splitting.
 
-An operator is a linear map from a module carrier into the base structure.
-The defining identity depends on the base family (associative, Lie,
-Poisson); the weight scales the carrier operations.  All checks run the
-same code over rational or jet-valued module data.
+An operator is a linear map T from a module carrier into the base
+structure; the weight scales the carrier operations.  Every base family
+(associative, Lie, Poisson) states its defining identity the same way, as
+the graph of T: T(u) o T(v) = T(u o_T v) for each base operation o, where
+o_T is the assembled total of the splitting that T induces.  One
+contraction evaluates it, pulling o back along T and pushing o_T forward
+through T; it is generic in the scalar type.  Over a deformed module the
+matrix of T stays fixed, so the identity is linear in the layers: order s
+is checked on layer s alone, in rationals.
 """
 
 from __future__ import annotations
@@ -12,17 +17,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .deform import ModuleDeformationJet, qcl
+from .deform import DeformationJet, ModuleDeformationJet, qcl
 from .errors import ConsistencyError
-from .linalg import BilinearOp, LinearMap, vec_clean, vec_iadd, vec_is_zero, vec_sub, vec_unit
+from .linalg import BilinearOp, LinearMap, pullback, pushforward, vec_clean, vec_iadd, vec_unit
 from .scalars import Jet
 from .structures import (
+    KIND_ROLES,
     AxiomFailure,
     AxiomReport,
     ModuleData,
     StructurePresentation,
+    _residual_order,
     as_bimodule_layout,
+    assemble_total,
 )
+
+# base family -> its identities in report order, each with the base role it reads
+_IDENTITIES = {
+    "associative": (("OCirc", "circ"),),
+    "commutative-associative": (("OCirc", "circ"),),
+    "lie": (("OBracket", "bracket"),),
+    "poisson": (("OBracket", "bracket"), ("OCirc", "circ")),
+}
 
 
 @dataclass(frozen=True)
@@ -39,13 +55,6 @@ class OOperatorSpec:
         if self.operator.codomain != self.context.base.space:
             raise ValueError("operator codomain must be the base space")
 
-    @property
-    def family(self) -> str:
-        kind = self.context.kind
-        if kind in ("associative", "commutative-associative"):
-            return "associative"
-        return kind  # "lie" or "poisson"
-
 
 def _act(table, xvec: Mapping, w: Mapping) -> dict:
     """Apply the action of a sparse base vector to a carrier vector."""
@@ -55,104 +64,54 @@ def _act(table, xvec: Mapping, w: Mapping) -> dict:
     return vec_clean(acc)
 
 
-def _residual_order(residual):
-    from .structures import _residual_order as ro
-    return ro(residual)
+def _residuals(spec: OOperatorSpec) -> list:
+    """Entries (a, b, k) of T(e_a) o T(e_b) - T(e_a o_T e_b), one table per identity."""
+    T, base = spec.operator, spec.context.base
+    total = assemble_total(induce_splitting(spec))
+    return [pullback(base.op(role), T, T).sub(pushforward(T, total.op(role))).entries
+            for _, role in _IDENTITIES[spec.context.kind]]
 
 
-def _o_operator_failures(spec: OOperatorSpec):
-    m = spec.context
-    T = spec.operator
-    lam = spec.weight
-    nv = m.carrier.dim
-    failures = []
-
-    def record(axiom, a, b, residual):
-        if not vec_is_zero(residual):
-            failures.append(AxiomFailure(axiom, (a, b), residual, _residual_order(residual)))
-
-    kind = m.kind
-    if kind in ("associative", "commutative-associative"):
-        circ = m.base.op("circ")
-        dot = m.carrier_ops["dot"]
-        if kind == "associative":
-            left, right = m.actions["left"], m.actions["right"]
-        else:
-            left = right = m.actions["act"]
-        for a in range(nv):
-            tu = T.column(a)
-            for b in range(nv):
-                tv = T.column(b)
-                u, v = vec_unit(a), vec_unit(b)
-                lhs = circ.apply(tu, tv)
-                rhs = dict(T.apply(_act(left, tu, v)))
-                vec_iadd(rhs, T.apply(_act(right, tv, u)))
-                if lam:
-                    vec_iadd(rhs, T.apply(dot.apply(u, v)), lam)
-                record("OCirc", a, b, vec_sub(lhs, rhs))
-        checked = ("OCirc",)
-    elif kind == "lie":
-        br = m.base.op("bracket")
-        cbr = m.carrier_ops["bracket"]
-        table = m.actions["bracket_act"]
-        for a in range(nv):
-            tu = T.column(a)
-            for b in range(nv):
-                tv = T.column(b)
-                u, v = vec_unit(a), vec_unit(b)
-                lhs = br.apply(tu, tv)
-                rhs = dict(T.apply(_act(table, tu, v)))
-                vec_iadd(rhs, T.apply(_act(table, tv, u)), -1)
-                if lam:
-                    vec_iadd(rhs, T.apply(cbr.apply(u, v)), lam)
-                record("OBracket", a, b, vec_sub(lhs, rhs))
-        checked = ("OBracket",)
-    elif kind == "poisson":
-        br, circ = m.base.op("bracket"), m.base.op("circ")
-        cbr, cdot = m.carrier_ops["bracket"], m.carrier_ops["dot"]
-        tb, tc = m.actions["bracket_act"], m.actions["circ_act"]
-        for a in range(nv):
-            tu = T.column(a)
-            for b in range(nv):
-                tv = T.column(b)
-                u, v = vec_unit(a), vec_unit(b)
-                lhs = br.apply(tu, tv)
-                rhs = dict(T.apply(_act(tb, tu, v)))
-                vec_iadd(rhs, T.apply(_act(tb, tv, u)), -1)
-                if lam:
-                    vec_iadd(rhs, T.apply(cbr.apply(u, v)), lam)
-                record("OBracket", a, b, vec_sub(lhs, rhs))
-                lhs = circ.apply(tu, tv)
-                rhs = dict(T.apply(_act(tc, tu, v)))
-                vec_iadd(rhs, T.apply(_act(tc, tv, u)))
-                if lam:
-                    vec_iadd(rhs, T.apply(cdot.apply(u, v)), lam)
-                record("OCirc", a, b, vec_sub(lhs, rhs))
-        checked = ("OBracket", "OCirc")
-    else:  # pragma: no cover
-        raise ValueError(f"no operator identity for base kind {kind!r}")
-    return failures, checked
+def _report(spec: OOperatorSpec, cells, subject: str) -> AxiomReport:
+    """cells maps (a, b, identity number) to a nonzero residual; failures come
+    sorted by carrier pair, then in identity order."""
+    axioms = tuple(axiom for axiom, _ in _IDENTITIES[spec.context.kind])
+    failures = tuple(AxiomFailure(axioms[r], (a, b), residual, _residual_order(residual))
+                     for (a, b, r), residual in sorted(cells.items()))
+    return AxiomReport(not failures, failures, axioms, subject)
 
 
 def check_o_operator(spec: OOperatorSpec, subject: str = "") -> AxiomReport:
     """Verify the operator identity of the context's family on all carrier pairs."""
-    failures, checked = _o_operator_failures(spec)
-    return AxiomReport(not failures, tuple(failures), checked,
-                       subject or f"weight-{spec.weight} operator over {spec.context.kind} base")
+    cells = {}
+    for r, entries in enumerate(_residuals(spec)):
+        for (a, b, k), c in entries.items():
+            cells.setdefault((a, b, r), {})[k] = c
+    return _report(spec, cells,
+                   subject or f"weight-{spec.weight} operator over {spec.context.kind} base")
+
+
+def _layer_specs(spec: OOperatorSpec, mj: ModuleDeformationJet) -> list:
+    """T with its weight over every layer of mj, whose layer 0 is T's context."""
+    if mj.layer0() != as_bimodule_layout(spec.context):
+        raise ValueError("module jet does not deform the operator's context")
+    return [OOperatorSpec(spec.operator, spec.weight, mj.layer(s))
+            for s in range(mj.order + 1)]
 
 
 def check_scalar_deformation(spec: OOperatorSpec, mj: ModuleDeformationJet,
                              subject: str = "") -> AxiomReport:
     """Check that the unchanged matrix of T stays an operator for the deformed
     module data, order by order; failures carry the first failing h-order."""
-    layer0 = as_bimodule_layout(spec.context)
-    if mj.layer0() != layer0:
-        raise ValueError("module jet does not deform the operator's context")
-    jet_context = mj.jet_module()
-    jet_spec = OOperatorSpec(spec.operator, spec.weight, jet_context)
-    failures, checked = _o_operator_failures(jet_spec)
-    return AxiomReport(not failures, tuple(failures), checked,
-                       subject or f"operator with coefficients through order {mj.order}")
+    order = mj.order
+    coeffs = {}
+    for s, layer_spec in enumerate(_layer_specs(spec, mj)):
+        for r, entries in enumerate(_residuals(layer_spec)):
+            for (a, b, k), c in entries.items():
+                coeffs.setdefault((a, b, r), {}).setdefault(k, [0] * (order + 1))[s] = c
+    cells = {key: {k: Jet.from_layers(cs, order) for k, cs in residual.items()}
+             for key, residual in coeffs.items()}
+    return _report(spec, cells, subject or f"operator with coefficients through order {order}")
 
 
 def induce_splitting(spec: OOperatorSpec) -> StructurePresentation:
@@ -211,6 +170,19 @@ def induce_splitting(spec: OOperatorSpec) -> StructurePresentation:
         return StructurePresentation(
             carrier, {"bracket": bracket, "triangle": triangle}, "post-lie")
     raise ValueError(f"no splitting for base kind {kind!r}")  # pragma: no cover
+
+
+def induce_splitting_jet(spec: OOperatorSpec, mj: ModuleDeformationJet) -> DeformationJet:
+    """Split every layer of mj through the unchanged T into one deformation.
+
+    Dendriform or tridendriform is decided from all layers at once: when any
+    layer has a nonzero weighted carrier product, the others get a zero dot.
+    """
+    splits = [induce_splitting(layer_spec) for layer_spec in _layer_specs(spec, mj)]
+    kind = "tridendriform" if any(p.kind == "tridendriform" for p in splits) else "dendriform"
+    zero = BilinearOp.zero(mj.carrier, mj.carrier, mj.carrier)
+    layers = {role: tuple(p.ops.get(role, zero) for p in splits) for role in KIND_ROLES[kind]}
+    return DeformationJet(kind, mj.order, layers)
 
 
 def transfer_qcl_operator(spec: OOperatorSpec, mj: ModuleDeformationJet) -> AxiomReport:

@@ -151,12 +151,6 @@ class Jet:
     def coeff(self, s: int) -> Fraction:
         return self.coeffs[s]
 
-    def truncate(self, order: int) -> "Jet":
-        """Reinterpret at a lower or equal truncation order."""
-        if order > self.order:
-            raise ValueError(f"cannot raise truncation order {self.order} to {order}")
-        return Jet(self.coeffs[: order + 1])
-
     def __repr__(self):
         terms = []
         for s, c in enumerate(self.coeffs):
@@ -170,17 +164,6 @@ class Jet:
                 terms.append(f"{c}*h^{s}")
         body = " + ".join(terms) if terms else "0"
         return f"Jet({body}; N={self.order})"
-
-
-def jet_div_h(a: Jet) -> Jet:
-    """Divide by h: drop h^0 (which must vanish) and lower the order by one."""
-    if not isinstance(a, Jet):
-        raise TypeError("jet_div_h expects a jet")
-    if a.coeffs[0] != 0:
-        raise ValueError("division by h: nonzero constant term")
-    if a.order == 0:
-        raise ValueError("division by h: order-0 jet has nowhere to shift")
-    return Jet(a.coeffs[1:])
 
 
 def scalar_is_zero(c) -> bool:

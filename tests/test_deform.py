@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetalg import (
     BilinearOp,
@@ -10,17 +12,20 @@ from jetalg import (
     check_deformation,
     check_module,
     check_structure,
-    deformation_from_presentation,
     derive_deformation,
     dualize_deformation,
     dualize_module,
+    gen_truncated_poly_example,
     qcl,
     regular_bimodule_jet,
     regular_module,
     truncated_polynomial_algebra,
     tridendriform_bimodule_jet,
 )
+from jetalg.deform import derivation_failures
+from jetalg.linalg import vec_is_zero, vec_sub, vec_unit
 from jetalg.structures import StructurePresentation
+from test_identity_engine import SCALARS, presentations
 
 
 def comm_base(poly):
@@ -111,12 +116,6 @@ def test_qcl_closed_form_coefficients(poly3):
     assert tri == {out: Fraction(-2)}  # 1 * q1/(1-q1) = 2/(1-2)
 
 
-def test_jet_presentation_round_trip(poly3):
-    p = poly3.jet.jet_presentation()
-    back = deformation_from_presentation(p, poly3.N)
-    assert back == poly3.jet
-
-
 def test_zinbiel_jet_and_limit(zin2):
     assert check_deformation(zin2.jet).passed
     assert qcl(zin2.jet) == zin2.qcl_closed
@@ -161,3 +160,43 @@ def test_qcl_needs_commutative_layer0():
     j = DeformationJet("dendriform", 1, {"succ": (succ, prec), "prec": (prec, prec)})
     with pytest.raises(ValueError):
         qcl(j)
+
+
+def dense_derivation_failures(d: LinearMap, op: BilinearOp):
+    """Reference Leibniz check: every basis pair in turn."""
+    bad = []
+    n = op.left.dim
+    for i in range(n):
+        for j in range(n):
+            u, v = vec_unit(i), vec_unit(j)
+            lhs = d.apply(op.apply(u, v))
+            rhs = op.apply(d.apply(u), v)
+            for k, c in op.apply(u, d.apply(v)).items():
+                rhs[k] = rhs.get(k, 0) + c
+            if not vec_is_zero(vec_sub(lhs, rhs)):
+                bad.append((i, j))
+    return bad
+
+
+@pytest.mark.parametrize("D", (3, 4))
+def test_leibniz_contraction_agrees_with_the_pairwise_loop(D):
+    ex = gen_truncated_poly_example(2, 3, D, 0)
+    d1, d2 = ex.derivations.d1, ex.derivations.d2
+    shifted = d1.add(LinearMap.identity(ex.space))
+    for op in ex.presentation.ops.values():
+        for d in (d1, d2):
+            assert derivation_failures(d, op) == dense_derivation_failures(d, op) == []
+        bad = derivation_failures(shifted, op)
+        assert bad and bad == dense_derivation_failures(shifted, op)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_leibniz_contraction_agrees_on_random_maps(data):
+    p = data.draw(presentations())
+    n = p.space.dim
+    cell = st.sampled_from((0, 0, 0, 1, -1)) | SCALARS
+    d = LinearMap(p.space, p.space, data.draw(
+        st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)))
+    for op in p.ops.values():
+        assert derivation_failures(d, op) == dense_derivation_failures(d, op)

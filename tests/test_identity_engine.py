@@ -22,11 +22,14 @@ from jetalg import (
     DeformationJet,
     Jet,
     LinearMap,
+    ModuleData,
     ModuleDeformationJet,
+    OOperatorSpec,
     Space,
     StructurePresentation,
     check_deformation,
     check_module,
+    check_scalar_deformation,
     check_structure,
     derive_deformation,
     gen_product_shift,
@@ -37,7 +40,9 @@ from jetalg import (
     semidirect,
     tridendriform_bimodule_jet,
     truncated_polynomial_algebra,
+    verify_diagram,
 )
+from jetalg.deform import _merge_layers
 from jetalg.linalg import vec_clean, vec_iadd, vec_is_zero, vec_sub, vec_unit
 from jetalg.structures import _residual_order, commutativity_failures
 
@@ -412,6 +417,38 @@ def test_deformation_checks_agree_with_the_dense_oracle_on_the_merged_jet(j):
                          dense_check_structure(j.jet_presentation(), subject))
 
 
+def jet_module(mj: ModuleDeformationJet) -> ModuleData:
+    """Merge a module jet into one jet-valued module: the reference the
+    layerwise module and operator checks are held against."""
+    order = mj.order
+    base = StructurePresentation(
+        mj.base_space,
+        {"circ": _merge_layers(mj.base_layers["circ"], order)},
+        "associative",
+    )
+
+    def merge_tables(tables):
+        out = []
+        n = len(tables[0])
+        for i in range(n):
+            mats = [tables[s][i] for s in range(order + 1)]
+            jet_mat = [
+                [Jet.from_layers([m.matrix[r][c] for m in mats], order)
+                 for c in range(mj.carrier.dim)]
+                for r in range(mj.carrier.dim)
+            ]
+            out.append(LinearMap(mj.carrier, mj.carrier, jet_mat))
+        return tuple(out)
+
+    return ModuleData(
+        base,
+        mj.carrier,
+        {"dot": _merge_layers(mj.carrier_layers["dot"], order)},
+        {"left": merge_tables(mj.action_layers["left"]),
+         "right": merge_tables(mj.action_layers["right"])},
+    )
+
+
 def _small_module_jets():
     """Module jets derived from the D=2 poly example at N = 1..3: its
     tridendriform bimodule, its regular bimodule with and without carrier
@@ -474,12 +511,13 @@ def test_module_deformation_checks_agree_with_the_merged_jet_module(mj):
         return
     subject = f"module deformation through order {mj.order}"
     got = check_deformation(mj)
-    assert_same_failures(got, check_module(mj.jet_module(), subject))
-    assert_same_failures(got, dense_check_structure(semidirect(mj.jet_module()), subject))
+    assert_same_failures(got, check_module(jet_module(mj), subject))
+    assert_same_failures(got, dense_check_structure(semidirect(jet_module(mj)), subject))
 
 
 def test_deformation_checks_make_no_jet_multiplications(poly3, monkeypatch):
     module_jet = tridendriform_bimodule_jet(poly3.jet)
+    spec = OOperatorSpec(LinearMap.identity(poly3.space), Fraction(1), module_jet.layer0())
     calls = []
     mul = Jet.__mul__
 
@@ -491,6 +529,9 @@ def test_deformation_checks_make_no_jet_multiplications(poly3, monkeypatch):
     monkeypatch.setattr(Jet, "__rmul__", counted)
     assert check_deformation(poly3.jet).passed
     assert check_deformation(module_jet).passed
+    assert check_scalar_deformation(spec, module_jet).passed
+    assert verify_diagram("pro-diagotri").passed
+    assert verify_diagram("pro-diaid").passed
     assert calls == []
     Jet.h(1) * 2
     assert len(calls) == 1

