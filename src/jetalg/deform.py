@@ -33,10 +33,10 @@ from .structures import (
     check_layers,
     check_module,
     check_structure,
+    as_bimodule_layout,
     commutativity_failures,
-    left_multiplications,
-    right_multiplications,
     semidirect,
+    tridendriform_bimodule,
 )
 
 
@@ -116,7 +116,8 @@ class DeformationJet:
 class ModuleDeformationJet:
     """Layerwise deformation of bimodule-algebra data over an associative base.
 
-    Fixed roles: base "circ", carrier "dot", actions "left" and "right".
+    Fixed roles: base "circ", carrier "dot", actions "left" and "right";
+    layer s of an action is one BilinearOp laid out as ModuleData.actions.
     Commutative-base module algebras deform into this shape as well, since
     the two deformed actions differ from order 1 on.
     """
@@ -124,7 +125,7 @@ class ModuleDeformationJet:
     order: int
     base_layers: Mapping[str, tuple[BilinearOp, ...]]
     carrier_layers: Mapping[str, tuple[BilinearOp, ...]]
-    action_layers: Mapping[str, tuple[tuple[LinearMap, ...], ...]]
+    action_layers: Mapping[str, tuple[BilinearOp, ...]]
 
     def __post_init__(self):
         if tuple(sorted(self.base_layers)) != ("circ",):
@@ -135,21 +136,29 @@ class ModuleDeformationJet:
             raise ValueError("module jets carry exactly the actions 'left' and 'right'")
         base_layers = {r: tuple(ops) for r, ops in self.base_layers.items()}
         carrier_layers = {r: tuple(ops) for r, ops in self.carrier_layers.items()}
-        action_layers = {r: tuple(tuple(t) for t in ts) for r, ts in self.action_layers.items()}
+        action_layers = {r: tuple(ops) for r, ops in self.action_layers.items()}
         _layers_consistent(base_layers, self.order, self.base_space)
         _layers_consistent(carrier_layers, self.order, self.carrier)
-        for role, tables in action_layers.items():
-            if len(tables) != self.order + 1:
+        for role, ops in action_layers.items():
+            if len(ops) != self.order + 1:
                 raise ValueError(f"action {role!r} needs {self.order + 1} layers")
-            for table in tables:
-                if len(table) != self.base_space.dim:
-                    raise ValueError(f"action {role!r} needs one matrix per base basis vector")
-                for mat in table:
-                    if (mat.domain, mat.codomain) != (self.carrier, self.carrier):
-                        raise ValueError(f"action {role!r} matrices must be carrier endomorphisms")
+            for op in ops:
+                if not isinstance(op, BilinearOp) or (op.left, op.right, op.out) != (
+                        self.base_space, self.carrier, self.carrier):
+                    raise ValueError(
+                        f"action {role!r} must act from the base space on the carrier")
         object.__setattr__(self, "base_layers", base_layers)
         object.__setattr__(self, "carrier_layers", carrier_layers)
         object.__setattr__(self, "action_layers", action_layers)
+
+    @classmethod
+    def of_layers(cls, modules) -> "ModuleDeformationJet":
+        """Collect bimodule-algebra data over associative bases, layer s from
+        modules[s]."""
+        return cls(len(modules) - 1,
+                   {"circ": tuple(m.base.op("circ") for m in modules)},
+                   {"dot": tuple(m.carrier_ops["dot"] for m in modules)},
+                   {role: tuple(m.actions[role] for m in modules) for role in ("left", "right")})
 
     @property
     def base_space(self) -> Space:
@@ -280,12 +289,11 @@ def qcl(j):
         base = StructurePresentation(
             j.base_space, {"bracket": _antisym(circ[1]), "circ": circ[0]}, "poisson"
         )
-        bracket_act = tuple(left[1][i].sub(right[1][i]) for i in range(j.base_space.dim))
         return ModuleData(
             base,
             j.carrier,
             {"bracket": _antisym(dot[1]), "dot": dot[0]},
-            {"bracket_act": bracket_act, "circ_act": left[0]},
+            {"bracket_act": left[1].sub(right[1]), "circ_act": left[0]},
         )
     raise TypeError("qcl expects a deformation jet")
 
@@ -399,33 +407,18 @@ def derive_deformation(target, pair: DerivationPair, order: int):
         pa1, pv1 = _powers(a1, order), _powers(v1, order)
         pa2, pv2 = _powers(a2, order), _powers(v2, order)
 
-        if target.kind == "associative":
-            circ = target.base.op("circ")
-            left, right = target.actions["left"], target.actions["right"]
-        else:
-            circ = target.base.op("circ")
-            left = right = target.actions["act"]
-        dot = target.carrier_ops["dot"]
+        m = as_bimodule_layout(target)
 
-        def action_layers(table, alg_pows, mod_pows):
-            out = []
-            for s in range(order + 1):
-                inv = Fraction(1, math.factorial(s))
-                layer = []
-                for i in range(na):
-                    acc = LinearMap.zero(target.carrier, target.carrier)
-                    for p, c in alg_pows[s].column(i).items():
-                        acc = acc.add(table[p].scale(c))
-                    layer.append(acc.compose(mod_pows[s]).scale(inv))
-                out.append(tuple(layer))
-            return tuple(out)
+        def action_layers(op, alg_pows, mod_pows):
+            return tuple(pullback(op, alg_pows[s], mod_pows[s]).scale(
+                Fraction(1, math.factorial(s))) for s in range(order + 1))
 
         return ModuleDeformationJet(
             order,
-            {"circ": _derived_layers(circ, pa1, pa2, order)},
-            {"dot": _derived_layers(dot, pv1, pv2, order)},
-            {"left": action_layers(left, pa1, pv2),
-             "right": action_layers(right, pa2, pv1)},
+            {"circ": _derived_layers(m.base.op("circ"), pa1, pa2, order)},
+            {"dot": _derived_layers(m.carrier_ops["dot"], pv1, pv2, order)},
+            {"left": action_layers(m.actions["left"], pa1, pv2),
+             "right": action_layers(m.actions["right"], pa2, pv1)},
         )
 
     raise TypeError("derive_deformation expects a structure or module data")
@@ -451,20 +444,8 @@ def tridendriform_bimodule_jet(j: DeformationJet) -> ModuleDeformationJet:
     """
     if j.kind not in ("tridendriform", "dendriform"):
         raise ValueError("expected a tridendriform or dendriform deformation")
-    succ, prec = j.layers["succ"], j.layers["prec"]
-    if j.kind == "dendriform":
-        zero = BilinearOp.zero(j.space, j.space, j.space)
-        dot = tuple(zero for _ in succ)
-    else:
-        dot = j.layers["dot"]
-    circ = tuple(succ[s].add(prec[s]).add(dot[s]) for s in range(j.order + 1))
-    return ModuleDeformationJet(
-        j.order,
-        {"circ": circ},
-        {"dot": dot},
-        {"left": tuple(left_multiplications(succ[s]) for s in range(j.order + 1)),
-         "right": tuple(right_multiplications(prec[s]) for s in range(j.order + 1))},
-    )
+    return ModuleDeformationJet.of_layers(
+        [tridendriform_bimodule(j.layer(s)) for s in range(j.order + 1)])
 
 
 def regular_bimodule_jet(j: DeformationJet, plain: bool = False) -> ModuleDeformationJet:
@@ -472,15 +453,13 @@ def regular_bimodule_jet(j: DeformationJet, plain: bool = False) -> ModuleDeform
     if "circ" not in j.layers:
         raise ValueError("expected an associative-family deformation")
     circ = j.layers["circ"]
-    space = j.space
-    zero = BilinearOp.zero(space, space, space)
+    zero = BilinearOp.zero(j.space, j.space, j.space)
     dot = tuple(zero for _ in circ) if plain else circ
     return ModuleDeformationJet(
         j.order,
         {"circ": circ},
         {"dot": dot},
-        {"left": tuple(left_multiplications(c) for c in circ),
-         "right": tuple(right_multiplications(c) for c in circ)},
+        {"left": circ, "right": tuple(c.arg_swap() for c in circ)},
     )
 
 

@@ -12,6 +12,7 @@ which equalities and axiom suites were exercised.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .deform import (
     DeformationJet,
@@ -33,7 +34,7 @@ from .operators import (
     induce_splitting,
     induce_splitting_jet,
 )
-from .scalars import Jet
+from .scalars import ZERO, Jet
 from .structures import (
     AxiomFailure,
     AxiomReport,
@@ -175,11 +176,10 @@ def _first_difference(a, b):
                         return ((tag, role, s) + tuple(where), va, vb)
         for role in sorted(set(a.action_layers) | set(b.action_layers)):
             for s, (la, lb) in enumerate(zip(a.action_layers[role], b.action_layers[role])):
-                for i, (ma, mb) in enumerate(zip(la, lb)):
-                    diff = _first_difference(ma, mb)
-                    if diff is not None:
-                        where, va, vb = diff
-                        return ((role, s, i) + tuple(where), va, vb)
+                diff = _action_difference(la, lb)
+                if diff is not None:
+                    where, va, vb = diff
+                    return ((role, s) + where, va, vb)
         return None
     if isinstance(a, ModuleData):
         diff = _first_difference(a.base, b.base)
@@ -192,13 +192,23 @@ def _first_difference(a, b):
         if diff is not None:
             return diff
         for role in sorted(set(a.actions) | set(b.actions)):
-            for i, (ma, mb) in enumerate(zip(a.actions[role], b.actions[role])):
-                diff = _first_difference(ma, mb)
-                if diff is not None:
-                    where, va, vb = diff
-                    return ((role, i) + tuple(where), va, vb)
+            diff = _action_difference(a.actions[role], b.actions[role])
+            if diff is not None:
+                where, va, vb = diff
+                return ((role,) + where, va, vb)
         return None
     return None if a == b else ((), a, b)
+
+
+def _action_difference(a: BilinearOp, b: BilinearOp):
+    """First differing cell of two module actions, found as in one carrier
+    matrix per base element: where is (i, r, c) for entry (i, c, r), and an
+    absent cell reads as a zero matrix cell."""
+    for i, c, r in sorted(set(a.entries) | set(b.entries), key=itemgetter(0, 2, 1)):
+        va, vb = a.entries.get((i, c, r), ZERO), b.entries.get((i, c, r), ZERO)
+        if va != vb:
+            return ((i, r, c), va, vb)
+    return None
 
 
 def _dict_difference(da, db, prefix):

@@ -243,10 +243,6 @@ class LinearMap:
         return cls(space, space, [[ONE if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, domain: Space, codomain: Space):
-        return cls(domain, codomain, [[0] * domain.dim for _ in range(codomain.dim)])
-
-    @classmethod
     def diagonal(cls, space: Space, values):
         values = list(values)
         if len(values) != space.dim:
@@ -254,25 +250,6 @@ class LinearMap:
         return cls(space, space,
                    [[values[i] if i == j else 0 for j in range(space.dim)]
                     for i in range(space.dim)])
-
-    @classmethod
-    def from_columns(cls, domain: Space, codomain: Space, columns):
-        cols = list(columns)
-        if len(cols) != domain.dim:
-            raise ValueError("need one column per domain basis vector")
-        matrix = [[cols[j].get(i, 0) for j in range(domain.dim)]
-                  for i in range(codomain.dim)]
-        return cls(domain, codomain, matrix)
-
-    def apply(self, v: Mapping) -> dict:
-        acc = {}
-        for j, cj in v.items():
-            self.domain.check_index(j)
-            for i in range(self.codomain.dim):
-                m = self.matrix[i][j]
-                if not scalar_is_zero(m):
-                    acc[i] = acc.get(i, 0) + m * cj
-        return vec_clean(acc)
 
     def column(self, j: int) -> dict:
         return vec_clean({i: self.matrix[i][j] for i in range(self.codomain.dim)})
@@ -295,49 +272,15 @@ class LinearMap:
                         out[i][j] = out[i][j] + c * d
         return LinearMap(other.domain, self.codomain, out)
 
-    def add(self, other: "LinearMap") -> "LinearMap":
-        self._require_same_spaces(other)
-        return LinearMap(self.domain, self.codomain,
-                         [[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.matrix, other.matrix)])
-
-    def sub(self, other: "LinearMap") -> "LinearMap":
-        return self.add(other.scale(-1))
-
-    def scale(self, factor) -> "LinearMap":
-        return LinearMap(self.domain, self.codomain,
-                         [[factor * c for c in row] for row in self.matrix])
-
-    def neg(self) -> "LinearMap":
-        return self.scale(-1)
-
-    def transpose(self, domain: Space = None, codomain: Space = None) -> "LinearMap":
-        """Matrix transpose; by default the spaces dualize and swap."""
-        if domain is None:
-            domain = self.codomain.dual()
-        if codomain is None:
-            codomain = self.domain.dual()
-        n, m = self.codomain.dim, self.domain.dim
-        mat = [[self.matrix[i][j] for i in range(n)] for j in range(m)]
-        return LinearMap(domain, codomain, mat)
-
     def commutes_with(self, other: "LinearMap") -> bool:
         return self.compose(other) == other.compose(self)
 
     def is_zero(self) -> bool:
         return all(scalar_is_zero(c) for row in self.matrix for c in row)
 
-    def map_scalars(self, fn) -> "LinearMap":
-        return LinearMap(self.domain, self.codomain,
-                         [[fn(c) for c in row] for row in self.matrix])
-
     def block(self, rows: range, cols: range, domain: Space, codomain: Space) -> "LinearMap":
         mat = [[self.matrix[i][j] for j in cols] for i in rows]
         return LinearMap(domain, codomain, mat)
-
-    def _require_same_spaces(self, other):
-        if (self.domain, self.codomain) != (other.domain, other.codomain):
-            raise ValueError("linear maps live on different spaces")
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):

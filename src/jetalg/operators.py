@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .deform import DeformationJet, ModuleDeformationJet, qcl
 from .errors import ConsistencyError
-from .linalg import BilinearOp, LinearMap, pullback, pushforward, vec_clean, vec_iadd, vec_unit
+from .linalg import BilinearOp, LinearMap, pullback, pushforward
 from .scalars import Jet
 from .structures import (
     KIND_ROLES,
+    MODULE_ROLES,
     AxiomFailure,
     AxiomReport,
     ModuleData,
@@ -30,6 +30,7 @@ from .structures import (
     _residual_order,
     as_bimodule_layout,
     assemble_total,
+    oriented,
 )
 
 # base family -> its identities in report order, each with the base role it reads
@@ -54,14 +55,6 @@ class OOperatorSpec:
             raise ValueError("operator domain must be the module carrier")
         if self.operator.codomain != self.context.base.space:
             raise ValueError("operator codomain must be the base space")
-
-
-def _act(table, xvec: Mapping, w: Mapping) -> dict:
-    """Apply the action of a sparse base vector to a carrier vector."""
-    acc = {}
-    for p, c in xvec.items():
-        vec_iadd(acc, table[p].apply(w), c)
-    return vec_clean(acc)
 
 
 def _residuals(spec: OOperatorSpec) -> list:
@@ -117,59 +110,26 @@ def check_scalar_deformation(spec: OOperatorSpec, mj: ModuleDeformationJet,
 def induce_splitting(spec: OOperatorSpec) -> StructurePresentation:
     """Split the base product through T into shifted operations on the carrier.
 
-    Associative contexts give dendriform or tridendriform presentations;
-    Poisson contexts give pre- or post-Poisson; Lie contexts give pre- or
-    post-Lie.  The carrier operations enter scaled by the weight.
+    Each action pulled back along T, (u, v) -> T(u) acting on v, is the split
+    operation of its left side, and its opposite that of its right side;
+    the carrier operations enter scaled by the weight.  Associative contexts
+    give dendriform or tridendriform presentations, Poisson contexts pre- or
+    post-Poisson, Lie contexts pre- or post-Lie: the first kind of each pair
+    when every weighted carrier operation is zero.
     """
     m = spec.context
-    T = spec.operator
-    lam = spec.weight
-    nv = m.carrier.dim
-    carrier = m.carrier
-
-    def op_from(fn):
-        items = []
-        for a in range(nv):
-            for b in range(nv):
-                for k, c in fn(a, b).items():
-                    items.append((a, b, k, c))
-        return BilinearOp.on(carrier, items)
-
-    kind = m.kind
-    if kind in ("associative", "commutative-associative"):
-        if kind == "associative":
-            left, right = m.actions["left"], m.actions["right"]
-        else:
-            left = right = m.actions["act"]
-        succ = op_from(lambda a, b: _act(left, T.column(a), vec_unit(b)))
-        prec = op_from(lambda a, b: _act(right, T.column(b), vec_unit(a)))
-        dot = m.carrier_ops["dot"].scale(lam)
-        if dot.is_zero():
-            return StructurePresentation(carrier, {"succ": succ, "prec": prec}, "dendriform")
-        return StructurePresentation(
-            carrier, {"succ": succ, "prec": prec, "dot": dot}, "tridendriform")
-    if kind == "poisson":
-        tb, tc = m.actions["bracket_act"], m.actions["circ_act"]
-        triangle = op_from(lambda a, b: _act(tb, T.column(a), vec_unit(b)))
-        succ = op_from(lambda a, b: _act(tc, T.column(a), vec_unit(b)))
-        bracket = m.carrier_ops["bracket"].scale(lam)
-        dot = m.carrier_ops["dot"].scale(lam)
-        if bracket.is_zero() and dot.is_zero():
-            return StructurePresentation(
-                carrier, {"triangle": triangle, "succ": succ}, "pre-poisson")
-        return StructurePresentation(
-            carrier,
-            {"bracket": bracket, "triangle": triangle, "succ": succ, "dot": dot},
-            "post-poisson")
-    if kind == "lie":
-        table = m.actions["bracket_act"]
-        triangle = op_from(lambda a, b: _act(table, T.column(a), vec_unit(b)))
-        bracket = m.carrier_ops["bracket"].scale(lam)
-        if bracket.is_zero():
-            return StructurePresentation(carrier, {"triangle": triangle}, "pre-lie")
-        return StructurePresentation(
-            carrier, {"bracket": bracket, "triangle": triangle}, "post-lie")
-    raise ValueError(f"no splitting for base kind {kind!r}")  # pragma: no cover
+    rows, carrier_rows, (plain_kind, kind) = MODULE_ROLES[m.kind]
+    ident = LinearMap.identity(m.carrier)
+    ops = {}
+    for row in rows:
+        pulled = pullback(m.actions[row.role], spec.operator, ident)
+        for side, _, split in row.sides:
+            if split is not None:
+                ops[split] = oriented(pulled, side)
+    carrier = {role: m.carrier_ops[role].scale(spec.weight) for role, _ in carrier_rows}
+    if all(op.is_zero() for op in carrier.values()):
+        return StructurePresentation(m.carrier, ops, plain_kind)
+    return StructurePresentation(m.carrier, {**carrier, **ops}, kind)
 
 
 def induce_splitting_jet(spec: OOperatorSpec, mj: ModuleDeformationJet) -> DeformationJet:

@@ -8,7 +8,9 @@ validate eagerly and raise FileFormatError naming the file and the entry.
 Formats
   structure    {"dim", "basis", "kind", "ops": {role: [[i, j, k, "p/q"], ...]}}
   module       structure fields for the carrier, plus
-               {"base": <structure or path>, "actions": {role: [matrix, ...]}}
+               {"base": <structure or path>, "actions": {role: [matrix, ...]}},
+               one carrier matrix per base element; in memory each role is
+               one BilinearOp with entries (i, c, r)
   deformation  {"dim", "basis", "kind", "order",
                 "layers": {role: [[entries of layer 0], [layer 1], ...]}}
   operator     {"weight": "p/q", "matrix": [[...]], "context": <module or path>}
@@ -221,9 +223,17 @@ def module_to_dict(m: ModuleData, base_ref: str | None = None) -> dict:
         "kind": m.kind,
         "ops": {role: _entries_to(op) for role, op in sorted(m.carrier_ops.items())},
         "base": base_ref if base_ref is not None else structure_to_dict(m.base),
-        "actions": {role: [_matrix_to(t[i].matrix) for i in range(m.base.space.dim)]
-                    for role, t in sorted(m.actions.items())},
+        "actions": {role: _action_matrices(op) for role, op in sorted(m.actions.items())},
     }
+
+
+def _action_matrices(op: BilinearOp):
+    """One dense carrier matrix per base element: entry (i, c, r) of the
+    action sits in row r, column c of matrix i."""
+    mats = [[[0] * op.right.dim for _ in range(op.out.dim)] for _ in range(op.left.dim)]
+    for (i, c, r), v in op.entries.items():
+        mats[i][r][c] = v
+    return [_matrix_to(mat) for mat in mats]
 
 
 def module_from_dict(d: dict, where: str = "module",
@@ -270,12 +280,12 @@ def module_from_dict(d: dict, where: str = "module",
         if not isinstance(tables, list) or len(tables) != nb:
             raise FileFormatError(
                 f"{where}.actions[{role!r}]: expected {nb} matrices, one per base element")
-        actions[role] = tuple(
-            LinearMap(carrier, carrier,
-                      _matrix_from(tables[i], carrier, carrier,
-                                   f"{where}.actions[{role!r}][{i}]"))
-            for i in range(nb)
-        )
+        entries = {}
+        for i in range(nb):
+            mat = _matrix_from(tables[i], carrier, carrier, f"{where}.actions[{role!r}][{i}]")
+            entries.update(((i, c, r), v) for r, row in enumerate(mat)
+                           for c, v in enumerate(row) if v)
+        actions[role] = BilinearOp(base.space, carrier, carrier, entries)
     return ModuleData(base, carrier, carrier_ops, actions)
 
 

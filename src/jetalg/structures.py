@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .linalg import BilinearOp, LinearMap, Space, direct_sum
+from .linalg import BilinearOp, Space, direct_sum
 from .scalars import Jet, scalar_low_order
 
 KIND_ROLES = {
@@ -55,21 +55,51 @@ SPLITTING_TOTALS = {
     "post-poisson": "poisson",
 }
 
-MODULE_BASE_KINDS = ("associative", "commutative-associative", "lie", "poisson")
 
-MODULE_ACTION_ROLES = {
-    "associative": ("left", "right"),
-    "commutative-associative": ("act",),
-    "lie": ("bracket_act",),
-    "poisson": ("bracket_act", "circ_act"),
+class ActionRow(NamedTuple):
+    """One action role of a module over a base kind.
+
+    The action feeds the semidirect product of base role `feeds`: from each
+    side in `sides`, (side, sign, split), it enters with that sign, and an
+    operator T splits it into the carrier operation `split` (None: no split
+    operation comes from that side).  The dual module takes this role's
+    action from role `dual`, transposed and scaled by `dual_sign`.
+    """
+
+    role: str
+    feeds: str
+    sides: tuple
+    dual_sign: int
+    dual: str
+
+
+_ASSOCIATIVE_SPLITS = ("dendriform", "tridendriform")
+
+# base kind -> (action rows, carrier rows (carrier role, base role it adds
+# to), split kinds (with all carrier operations zero, otherwise)); a
+# carrier role, scaled by the weight, is also a split operation of its name
+MODULE_ROLES = {
+    "associative": ((ActionRow("left", "circ", (("left", 1, "succ"),), 1, "right"),
+                     ActionRow("right", "circ", (("right", 1, "prec"),), 1, "left")),
+                    (("dot", "circ"),), _ASSOCIATIVE_SPLITS),
+    "commutative-associative": (
+        (ActionRow("act", "circ", (("left", 1, "succ"), ("right", 1, "prec")), 1, "act"),),
+        (("dot", "circ"),), _ASSOCIATIVE_SPLITS),
+    "lie": ((ActionRow("bracket_act", "bracket",
+                       (("left", 1, "triangle"), ("right", -1, None)), -1, "bracket_act"),),
+            (("bracket", "bracket"),), ("pre-lie", "post-lie")),
+    "poisson": ((ActionRow("bracket_act", "bracket",
+                           (("left", 1, "triangle"), ("right", -1, None)), -1, "bracket_act"),
+                 ActionRow("circ_act", "circ",
+                           (("left", 1, "succ"), ("right", 1, None)), 1, "circ_act")),
+                (("bracket", "bracket"), ("dot", "circ")), ("pre-poisson", "post-poisson")),
 }
 
-MODULE_CARRIER_ROLES = {
-    "associative": ("dot",),
-    "commutative-associative": ("dot",),
-    "lie": ("bracket",),
-    "poisson": ("bracket", "dot"),
-}
+MODULE_BASE_KINDS = tuple(MODULE_ROLES)
+MODULE_ACTION_ROLES = {kind: tuple(row.role for row in rows)
+                       for kind, (rows, _, _) in MODULE_ROLES.items()}
+MODULE_CARRIER_ROLES = {kind: tuple(role for role, _ in carrier)
+                        for kind, (_, carrier, _) in MODULE_ROLES.items()}
 
 
 @dataclass(frozen=True)
@@ -444,21 +474,23 @@ def commutativity_failures(p: StructurePresentation) -> tuple[AxiomFailure, ...]
 
 @dataclass(frozen=True)
 class ModuleData:
-    """A module (algebra) over a base structure, given by action matrices.
+    """A module (algebra) over a base structure, given by bilinear actions.
 
-    actions[role][i] is the matrix of the action of base basis vector e_i on
-    the carrier.  carrier_ops hold the operations on the carrier itself; an
+    actions[role] is one BilinearOp from base x carrier to the carrier:
+    entry (i, c, r) is the coefficient of v_r in e_i acting on v_c, for
+    left and right actions alike (MODULE_ROLES says from which side each
+    role acts).  carrier_ops hold the operations on the carrier itself; an
     all-zero family presents a plain module.
     """
 
     base: StructurePresentation
     carrier: Space
     carrier_ops: Mapping[str, BilinearOp]
-    actions: Mapping[str, tuple[LinearMap, ...]]
+    actions: Mapping[str, BilinearOp]
 
     def __post_init__(self):
         kind = self.base.kind
-        if kind not in MODULE_BASE_KINDS:
+        if kind not in MODULE_ROLES:
             raise ValueError(f"no module notion for base kind {kind!r}")
         if tuple(sorted(self.actions)) != tuple(sorted(MODULE_ACTION_ROLES[kind])):
             raise ValueError(
@@ -468,17 +500,15 @@ class ModuleData:
             raise ValueError(
                 f"base kind {kind!r} needs carrier roles {MODULE_CARRIER_ROLES[kind]}"
             )
-        for role, table in self.actions.items():
-            if len(table) != self.base.space.dim:
-                raise ValueError(f"action {role!r} needs one matrix per base basis vector")
-            for m in table:
-                if (m.domain, m.codomain) != (self.carrier, self.carrier):
-                    raise ValueError(f"action {role!r} matrices must be carrier endomorphisms")
+        for role, op in self.actions.items():
+            if not isinstance(op, BilinearOp) or (op.left, op.right, op.out) != (
+                    self.base.space, self.carrier, self.carrier):
+                raise ValueError(f"action {role!r} must act from the base space on the carrier")
         for role, op in self.carrier_ops.items():
             if (op.left, op.right, op.out) != (self.carrier, self.carrier, self.carrier):
                 raise ValueError(f"carrier operation {role!r} does not live on the carrier")
         object.__setattr__(self, "carrier_ops", dict(self.carrier_ops))
-        object.__setattr__(self, "actions", {r: tuple(t) for r, t in self.actions.items()})
+        object.__setattr__(self, "actions", dict(self.actions))
 
     @property
     def kind(self) -> str:
@@ -487,15 +517,12 @@ class ModuleData:
     def is_plain(self) -> bool:
         return all(op.is_zero() for op in self.carrier_ops.values())
 
-    def action(self, role: str, i: int) -> LinearMap:
-        return self.actions[role][i]
-
     def map_scalars(self, fn) -> "ModuleData":
         return ModuleData(
             self.base.map_scalars(fn),
             self.carrier,
             {r: op.map_scalars(fn) for r, op in self.carrier_ops.items()},
-            {r: tuple(m.map_scalars(fn) for m in t) for r, t in self.actions.items()},
+            {r: op.map_scalars(fn) for r, op in self.actions.items()},
         )
 
     def __eq__(self, other):
@@ -511,87 +538,45 @@ class ModuleData:
     __hash__ = None
 
 
+def oriented(op: BilinearOp, side: str) -> BilinearOp:
+    """op read from a side: itself from the left, the opposite operation
+    from the right.  An action of op's left factor acting from that side
+    is this view of op, and so is the split operation of a pulled-back
+    action."""
+    return op if side == "left" else op.arg_swap()
+
+
 def semidirect(m: ModuleData) -> StructurePresentation:
-    """Assemble the product(s) on base + carrier from the module data."""
-    base = m.base
-    na = base.space.dim
-    total = direct_sum(base.space, m.carrier)
+    """Assemble the product(s) on base + carrier from the module data.
 
-    def base_entries(op):
-        for (i, j, k), c in op.entries.items():
-            yield i, j, k, c
-
-    def carrier_entries(op):
-        for (i, j, k), c in op.entries.items():
-            yield na + i, na + j, na + k, c
-
-    def left_entries(table, sign=1):
-        # base element acts from the left: (e_i, v_b) -> table[i] v_b
-        for i, mat in enumerate(table):
-            for r in range(m.carrier.dim):
-                for c in range(m.carrier.dim):
-                    v = mat.matrix[r][c]
-                    yield i, na + c, na + r, v if sign == 1 else -v
-
-    def right_entries(table, sign=1):
-        # base element acts from the right: (v_a, e_j) -> table[j] v_a
-        for j, mat in enumerate(table):
-            for r in range(m.carrier.dim):
-                for c in range(m.carrier.dim):
-                    v = mat.matrix[r][c]
-                    yield na + c, j, na + r, v if sign == 1 else -v
-
-    def build(parts):
-        items = [x for part in parts for x in part]
-        return BilinearOp.from_entries(total, total, total, items, combine=True)
-
-    kind = base.kind
-    if kind == "associative":
-        circ = build([
-            base_entries(base.op("circ")),
-            left_entries(m.actions["left"]),
-            right_entries(m.actions["right"]),
-            carrier_entries(m.carrier_ops["dot"]),
-        ])
-        return StructurePresentation(total, {"circ": circ}, "associative")
-    if kind == "commutative-associative":
-        circ = build([
-            base_entries(base.op("circ")),
-            left_entries(m.actions["act"]),
-            right_entries(m.actions["act"]),
-            carrier_entries(m.carrier_ops["dot"]),
-        ])
-        return StructurePresentation(total, {"circ": circ}, "commutative-associative")
-    if kind == "lie":
-        bracket = build([
-            base_entries(base.op("bracket")),
-            left_entries(m.actions["bracket_act"]),
-            right_entries(m.actions["bracket_act"], sign=-1),
-            carrier_entries(m.carrier_ops["bracket"]),
-        ])
-        return StructurePresentation(total, {"bracket": bracket}, "lie")
-    if kind == "poisson":
-        bracket = build([
-            base_entries(base.op("bracket")),
-            left_entries(m.actions["bracket_act"]),
-            right_entries(m.actions["bracket_act"], sign=-1),
-            carrier_entries(m.carrier_ops["bracket"]),
-        ])
-        circ = build([
-            base_entries(base.op("circ")),
-            left_entries(m.actions["circ_act"]),
-            right_entries(m.actions["circ_act"]),
-            carrier_entries(m.carrier_ops["dot"]),
-        ])
-        return StructurePresentation(total, {"bracket": bracket, "circ": circ}, "poisson")
-    raise ValueError(f"no semidirect assembly for base kind {kind!r}")  # pragma: no cover
+    Each base role collects its own entries, every action that feeds it
+    (from each of its sides, with that side's sign) and the carrier
+    operation that adds to it.
+    """
+    rows, carrier_rows, _ = MODULE_ROLES[m.kind]
+    na = m.base.space.dim
+    total = direct_sum(m.base.space, m.carrier)
+    items = {role: [(i, j, k, c) for (i, j, k), c in op.entries.items()]
+             for role, op in m.base.ops.items()}
+    for row in rows:
+        entries = m.actions[row.role].entries.items()
+        for side, sign, _ in row.sides:
+            # from the left (e_i, v_c) -> v_r, from the right (v_c, e_i) -> v_r
+            items[row.feeds].extend(
+                (i, na + c, na + r, v if sign > 0 else -v) if side == "left"
+                else (na + c, i, na + r, v if sign > 0 else -v)
+                for (i, c, r), v in entries)
+    for role, feeds in carrier_rows:
+        items[feeds].extend((na + i, na + j, na + k, c)
+                            for (i, j, k), c in m.carrier_ops[role].entries.items())
+    ops = {role: BilinearOp.from_entries(total, total, total, part, combine=True)
+           for role, part in items.items()}
+    return StructurePresentation(total, ops, m.kind)
 
 
 def check_module(m: ModuleData, subject: str = "") -> AxiomReport:
     """Module validity is defined through the semidirect criterion."""
-    total = semidirect(m)
-    report = check_structure(total, subject or f"module over {m.kind} base")
-    return report
+    return check_structure(semidirect(m), subject or f"module over {m.kind} base")
 
 
 def as_bimodule_layout(m: ModuleData) -> ModuleData:
@@ -608,37 +593,23 @@ def as_bimodule_layout(m: ModuleData) -> ModuleData:
 def dualize_module(m: ModuleData) -> ModuleData:
     """Dual module on the dual carrier; requires a plain module.
 
-    The dual action pairs by <f(x)u*, v> = -<u*, g(x)v> against the matching
-    original action g, which in matrix form is the positive transpose; for
-    Lie-type actions (bracket side) the coadjoint rule -transpose applies.
+    Each dual action is the transpose (i, c, r) -> (i, r, c) of its dual
+    partner's action, scaled by the dual sign: <f(x)u*, v> = -<u*, g(x)v>
+    against the matching original action g gives the positive transpose,
+    with left and right swapped over an associative base, and the coadjoint
+    rule -transpose applies to Lie-type actions.
     """
     if not m.is_plain():
         raise ValueError("dualize_module needs trivial carrier operations")
     dual = m.carrier.dual()
-
-    def t(mat, sign=1):
-        return mat.transpose(dual, dual).scale(sign)
-
-    kind = m.kind
-    if kind == "associative":
-        actions = {
-            "left": tuple(t(mat) for mat in m.actions["right"]),
-            "right": tuple(t(mat) for mat in m.actions["left"]),
-        }
-    elif kind == "commutative-associative":
-        actions = {"act": tuple(t(mat) for mat in m.actions["act"])}
-    elif kind == "lie":
-        actions = {"bracket_act": tuple(t(mat, -1) for mat in m.actions["bracket_act"])}
-    elif kind == "poisson":
-        actions = {
-            "bracket_act": tuple(t(mat, -1) for mat in m.actions["bracket_act"]),
-            "circ_act": tuple(t(mat) for mat in m.actions["circ_act"]),
-        }
-    else:  # pragma: no cover
-        raise ValueError(f"no dual for base kind {kind!r}")
-    carrier_ops = {
-        role: BilinearOp.zero(dual, dual, dual) for role in MODULE_CARRIER_ROLES[kind]
-    }
+    rows, carrier_rows, _ = MODULE_ROLES[m.kind]
+    actions = {}
+    for row in rows:
+        op = m.actions[row.dual]
+        actions[row.role] = BilinearOp(
+            op.left, dual, dual,
+            {(i, r, c): v if row.dual_sign > 0 else -v for (i, c, r), v in op.entries.items()})
+    carrier_ops = {role: BilinearOp.zero(dual, dual, dual) for role, _ in carrier_rows}
     return ModuleData(m.base, dual, carrier_ops, actions)
 
 
@@ -682,60 +653,35 @@ def assemble_total(p: StructurePresentation) -> StructurePresentation:
     raise ValueError(f"kind {p.kind!r} has no assembled total")  # pragma: no cover
 
 
-def left_multiplications(op: BilinearOp) -> tuple[LinearMap, ...]:
-    """L(e_i): x -> op(e_i, x) for each basis vector of the left space."""
-    n = op.left.dim
-    maps = []
-    for i in range(n):
-        cols = [op.basis(i, j) for j in range(op.right.dim)]
-        maps.append(LinearMap.from_columns(op.right, op.out, cols))
-    return tuple(maps)
-
-
-def right_multiplications(op: BilinearOp) -> tuple[LinearMap, ...]:
-    """R(e_j): x -> op(x, e_j) for each basis vector of the right space."""
-    n = op.right.dim
-    maps = []
-    for j in range(n):
-        cols = [op.basis(i, j) for i in range(op.left.dim)]
-        maps.append(LinearMap.from_columns(op.left, op.out, cols))
-    return tuple(maps)
-
-
-def _zero_carrier(kind: str, carrier: Space):
-    return {role: BilinearOp.zero(carrier, carrier, carrier)
-            for role in MODULE_CARRIER_ROLES[kind]}
-
-
 def regular_bimodule(p: StructurePresentation) -> ModuleData:
-    """The structure acting on itself, carrier operations included."""
-    kind = p.kind
-    if kind == "associative":
-        circ = p.op("circ")
-        return ModuleData(p, p.space, {"dot": circ},
-                          {"left": left_multiplications(circ),
-                           "right": right_multiplications(circ)})
-    if kind == "commutative-associative":
-        circ = p.op("circ")
-        return ModuleData(p, p.space, {"dot": circ},
-                          {"act": left_multiplications(circ)})
-    if kind == "lie":
-        b = p.op("bracket")
-        return ModuleData(p, p.space, {"bracket": b},
-                          {"bracket_act": left_multiplications(b)})
-    if kind == "poisson":
-        b, c = p.op("bracket"), p.op("circ")
-        return ModuleData(p, p.space, {"bracket": b, "dot": c},
-                          {"bracket_act": left_multiplications(b),
-                           "circ_act": left_multiplications(c)})
-    raise ValueError(f"no regular module for kind {kind!r}")
+    """The structure acting on itself, carrier operations included: each
+    action is the base operation it feeds, read from its first side."""
+    if p.kind not in MODULE_ROLES:
+        raise ValueError(f"no regular module for kind {p.kind!r}")
+    rows, carrier_rows, _ = MODULE_ROLES[p.kind]
+    return ModuleData(p, p.space, {role: p.op(feeds) for role, feeds in carrier_rows},
+                      {row.role: oriented(p.op(row.feeds), row.sides[0][0]) for row in rows})
 
 
 def regular_module(p: StructurePresentation) -> ModuleData:
     """Regular actions with the carrier operations forgotten."""
     full = regular_bimodule(p)
-    return ModuleData(full.base, full.carrier, _zero_carrier(p.kind, full.carrier),
+    zero = BilinearOp.zero(p.space, p.space, p.space)
+    return ModuleData(full.base, full.carrier, {role: zero for role in full.carrier_ops},
                       full.actions)
+
+
+def _splitting_module(q: StructurePresentation, base: StructurePresentation) -> ModuleData:
+    """The module that the split operations of q make over base: each action
+    is the split operation of its first side, read from that side, and each
+    carrier operation is q's role of that name.  The identity of q's space
+    splits it back into q."""
+    rows, carrier_rows, _ = MODULE_ROLES[base.kind]
+    actions = {}
+    for row in rows:
+        side, _, split = row.sides[0]
+        actions[row.role] = oriented(q.op(split), side)
+    return ModuleData(base, q.space, {role: q.op(role) for role, _ in carrier_rows}, actions)
 
 
 def as_tridendriform(p: StructurePresentation) -> StructurePresentation:
@@ -776,43 +722,33 @@ def tridendriform_bimodule(p: StructurePresentation, commutative: bool = False) 
     """
     q = as_tridendriform(p)
     total = assemble_total(q)
-    succ, prec, dot = q.op("succ"), q.op("prec"), q.op("dot")
     if commutative:
         fails = commutativity_failures(q)
         if fails:
             raise ValueError("presentation is not commutative: " + fails[0].describe(q.space))
-        base = StructurePresentation(total.space, total.ops, "commutative-associative")
-        return ModuleData(base, q.space, {"dot": dot},
-                          {"act": left_multiplications(succ)})
-    return ModuleData(total, q.space, {"dot": dot},
-                      {"left": left_multiplications(succ),
-                       "right": right_multiplications(prec)})
+        total = StructurePresentation(total.space, total.ops, "commutative-associative")
+    return _splitting_module(q, total)
 
 
 def post_poisson_module(p: StructurePresentation) -> ModuleData:
     """(carrier, bracket, dot, L_triangle, L_succ) over the assembled Poisson total."""
     q = as_post_poisson(p)
-    total = assemble_total(q)
-    return ModuleData(total, q.space,
-                      {"bracket": q.op("bracket"), "dot": q.op("dot")},
-                      {"bracket_act": left_multiplications(q.op("triangle")),
-                       "circ_act": left_multiplications(q.op("succ"))})
+    return _splitting_module(q, assemble_total(q))
 
 
 def post_lie_module(p: StructurePresentation) -> ModuleData:
     """(carrier, bracket, L_triangle) over the assembled Lie total."""
-    q = as_post_poisson(p) if p.kind in ("pre-poisson", "post-poisson") else p
-    if q.kind == "post-poisson":
-        lie_total = StructurePresentation(
+    if p.kind in ("pre-poisson", "post-poisson"):
+        q = as_post_poisson(p)
+        total = StructurePresentation(
             q.space, {"bracket": assemble_total(q).op("bracket")}, "lie")
-        return ModuleData(lie_total, q.space, {"bracket": q.op("bracket")},
-                          {"bracket_act": left_multiplications(q.op("triangle"))})
-    if q.kind in ("post-lie", "pre-lie"):
-        if q.kind == "pre-lie":
-            zero = BilinearOp.zero(q.space, q.space, q.space)
+    elif p.kind in ("post-lie", "pre-lie"):
+        q = p
+        if p.kind == "pre-lie":
+            zero = BilinearOp.zero(p.space, p.space, p.space)
             q = StructurePresentation(
-                q.space, {"bracket": zero, "triangle": q.op("triangle")}, "post-lie")
-        lie_total = assemble_total(q)
-        return ModuleData(lie_total, q.space, {"bracket": q.op("bracket")},
-                          {"bracket_act": left_multiplications(q.op("triangle"))})
-    raise ValueError(f"cannot derive a Lie module from kind {p.kind!r}")
+                p.space, {"bracket": zero, "triangle": p.op("triangle")}, "post-lie")
+        total = assemble_total(q)
+    else:
+        raise ValueError(f"cannot derive a Lie module from kind {p.kind!r}")
+    return _splitting_module(q, total)

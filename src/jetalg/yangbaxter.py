@@ -22,12 +22,14 @@ from .linalg import (
     TensorElement,
     direct_sum,
     eta_embed,
+    pullback,
     sharp,
     unsharp,
 )
 from .operators import OOperatorSpec, check_o_operator
 from .scalars import Jet, scalar_is_zero
 from .structures import (
+    MODULE_ROLES,
     AxiomFailure,
     AxiomReport,
     ModuleData,
@@ -171,14 +173,6 @@ def _all_invariant(kind, b, p) -> bool:
 # ---------------------------------------------------------------------------
 # dual products induced by an invariant symmetric part
 
-def _dual_action_map(maps, coeff_vec, dual: Space, sign=1) -> LinearMap:
-    """sum_w coeffs[w] * sign * transpose(maps[w]) as an endomorphism of dual."""
-    acc = LinearMap.zero(dual, dual)
-    for w, c in coeff_vec.items():
-        acc = acc.add(maps[w].transpose(dual, dual).scale(sign * c))
-    return acc
-
-
 def aw1_induce(r: TensorElement, p: StructurePresentation):
     """Dual module structure induced by the symmetric part beta of r, plus
     the equivalence between the Yang-Baxter residual of r and the operator
@@ -192,7 +186,6 @@ def aw1_induce(r: TensorElement, p: StructurePresentation):
     _check_tensor_space(r, p)
     beta = r.sym()
     dual = p.space.dual()
-    n = p.space.dim
     sharp_beta = sharp(beta)
 
     family = "poisson" if p.kind == "poisson" else "associative"
@@ -204,25 +197,17 @@ def aw1_induce(r: TensorElement, p: StructurePresentation):
     if family == "poisson" and not _all_invariant("lie", beta, p):
         raise ValueError("the symmetric part of r is not invariant for the bracket")
 
-    from .structures import right_multiplications, left_multiplications
-
-    rmul = right_multiplications(_op_for(p, "circ"))
-
-    def dual_op(maps, sign, factor):
-        items = []
-        for a in range(n):
-            acting = _dual_action_map(maps, sharp_beta.column(a), dual, sign)
-            for b in range(n):
-                for k, c in acting.column(b).items():
-                    items.append((a, b, k, factor * c))
-        return BilinearOp.on(dual, items, combine=True)
-
-    # R*(x) = -transpose(R(x)); the induced product is 2 R*(sharp(beta) a*) b*
-    dot_dual = dual_op(rmul, -1, Fraction(2))
-
+    # R* and ad* are minus the dual actions of the regular module that feed
+    # the product and the bracket (over a commutative product R = L), so
+    # each induced operation pulls that dual action back along sharp(beta)
     base_module = dualize_module(regular_module(p))
+    rows, carrier_rows, _ = MODULE_ROLES[p.kind]
+    ident = LinearMap.identity(dual)
+    carrier_ops = {}
+    for role, feeds in carrier_rows:
+        acting = next(row.role for row in rows if row.feeds == feeds)
+        carrier_ops[role] = pullback(base_module.actions[acting], sharp_beta, ident).scale(-2)
     if family == "associative":
-        carrier_ops = {"dot": dot_dual}
         residual = ybe_residual("aybe", r, p)
         residual_zero = residual.is_zero()
         res_failures = [
@@ -230,10 +215,6 @@ def aw1_induce(r: TensorElement, p: StructurePresentation):
             for key, val in residual.sorted_entries()[:4]
         ]
     else:
-        lmul_br = left_multiplications(_op_for(p, "bracket"))
-        # ad*(x) = -transpose(ad(x)); the induced bracket is -2 ad*(...) b*
-        bracket_dual = dual_op(lmul_br, -1, Fraction(-2))
-        carrier_ops = {"bracket": bracket_dual, "dot": dot_dual}
         res_a, res_c = ybe_residual("pybe", r, p)
         residual_zero = res_a.is_zero() and res_c.is_zero()
         res_failures = [
@@ -500,19 +481,8 @@ def dualize_deformation(mj: ModuleDeformationJet) -> ModuleDeformationJet:
     """Layerwise dual of a plain bimodule jet: actions transpose and swap."""
     if any(not op.is_zero() for op in mj.carrier_layers["dot"]):
         raise ValueError("dualize_deformation needs trivial carrier operations")
-    dual = mj.carrier.dual()
-    zero = BilinearOp.zero(dual, dual, dual)
-
-    def t_table(table):
-        return tuple(m.transpose(dual, dual) for m in table)
-
-    return ModuleDeformationJet(
-        mj.order,
-        {"circ": mj.base_layers["circ"]},
-        {"dot": tuple(zero for _ in range(mj.order + 1))},
-        {"left": tuple(t_table(tab) for tab in mj.action_layers["right"]),
-         "right": tuple(t_table(tab) for tab in mj.action_layers["left"])},
-    )
+    return ModuleDeformationJet.of_layers(
+        [dualize_module(mj.layer(s)) for s in range(mj.order + 1)])
 
 
 def dual_semidirect_jet(j: DeformationJet) -> DeformationJet:

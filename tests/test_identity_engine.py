@@ -427,25 +427,11 @@ def jet_module(mj: ModuleDeformationJet) -> ModuleData:
         "associative",
     )
 
-    def merge_tables(tables):
-        out = []
-        n = len(tables[0])
-        for i in range(n):
-            mats = [tables[s][i] for s in range(order + 1)]
-            jet_mat = [
-                [Jet.from_layers([m.matrix[r][c] for m in mats], order)
-                 for c in range(mj.carrier.dim)]
-                for r in range(mj.carrier.dim)
-            ]
-            out.append(LinearMap(mj.carrier, mj.carrier, jet_mat))
-        return tuple(out)
-
     return ModuleData(
         base,
         mj.carrier,
         {"dot": _merge_layers(mj.carrier_layers["dot"], order)},
-        {"left": merge_tables(mj.action_layers["left"]),
-         "right": merge_tables(mj.action_layers["right"])},
+        {role: _merge_layers(ops, order) for role, ops in mj.action_layers.items()},
     )
 
 
@@ -487,11 +473,9 @@ def module_jets(draw):
         nv = mj.carrier.dim
         i = draw(st.integers(0, mj.base_space.dim - 1))
         r, c = draw(st.integers(0, nv - 1)), draw(st.integers(0, nv - 1))
-        tables = [list(t) for t in action_layers[where]]
-        rows = [list(row) for row in tables[s][i].matrix]
-        rows[r][c] += amount
-        tables[s][i] = LinearMap(mj.carrier, mj.carrier, rows)
-        action_layers[where] = tables
+        per_order = list(action_layers[where])
+        per_order[s] = _moved(per_order[s], (i, c, r), amount)
+        action_layers[where] = per_order
     else:
         layers = carrier_layers if where == "dot" else base_layers
         n = (mj.carrier if where == "dot" else mj.base_space).dim

@@ -48,6 +48,7 @@ from jetalg.structures import (
     post_lie_module,
 )
 from jetalg.yangbaxter import alpha_block_maps
+from module_oracle import DenseMap, to_old
 from test_identity_engine import SCALARS, assert_same_failures, jet_module, module_jets
 
 ONE = Fraction(1)
@@ -153,8 +154,10 @@ def test_transfer_requires_the_jet_to_pass(poly3):
     rep = transfer_qcl_operator(spec, mj)
     assert rep.passed
 
+    shifted = [[c + (i == j) for j, c in enumerate(row)]
+               for i, row in enumerate(poly3.operator.matrix)]
     broken = OOperatorSpec(
-        poly3.operator.add(LinearMap.identity(poly3.space)), ONE, spec.context)
+        LinearMap(poly3.space, poly3.space, shifted), ONE, spec.context)
     with pytest.raises(ValueError):
         transfer_qcl_operator(broken, mj)
 
@@ -180,8 +183,8 @@ def _act(table, xvec, w):
 
 
 def _o_operator_failures(spec: OOperatorSpec):
-    m = spec.context
-    T = spec.operator
+    m = to_old(spec.context)
+    T = DenseMap.of(spec.operator)
     lam = spec.weight
     nv = m.carrier.dim
     failures = []

@@ -183,7 +183,7 @@ def test_skew_graph_three_way_agreement(zin2):
 
 def test_skew_graph_from_zero_operator(zin2):
     spec = skew_spec(zin2)
-    zero_spec = OOperatorSpec(LinearMap.zero(zin2.space, zin2.space),
+    zero_spec = OOperatorSpec(LinearMap.diagonal(zin2.space, [0] * zin2.space.dim),
                               Fraction(0), spec.context)
     bundle = construct_solutions("skew-from-operator", zero_spec)
     assert bundle.tensors["skew-graph"].is_zero()
