@@ -30,10 +30,10 @@ from .structures import (
     AxiomReport,
     ModuleData,
     StructurePresentation,
+    as_bimodule_layout,
     check_layers,
     check_module,
     check_structure,
-    as_bimodule_layout,
     commutativity_failures,
     semidirect,
     tridendriform_bimodule,

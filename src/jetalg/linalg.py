@@ -1,7 +1,8 @@
 """Finite-dimensional spaces, sparse bilinear operations, maps and tensors.
 
 Vectors are sparse dicts {basis index: scalar}.  Bilinear operations are
-stored by structure constants; linear maps and rank-2 tensors are dense
+stored by structure constants, and so are module actions, as operations
+base x carrier -> carrier; linear maps and rank-2 tensors are dense
 matrices.  Scalars may be rationals or truncated h-jets as long as each
 object is homogeneous in the scalar type it carries.
 """

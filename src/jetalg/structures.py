@@ -13,7 +13,10 @@ On every basis tuple where an identity fails it reports the exact residual,
 divided back by L^degree.
 Module data is validated through its semidirect product: the data is valid
 precisely when the assembled structure on base + carrier passes the checker
-of the base kind.
+of the base kind.  Each action is one bilinear operation base x carrier ->
+carrier, and one table (MODULE_ROLES) states every base kind's module
+shape, from which the semidirect product, the dual module and the regular
+and splitting modules are built by one loop each.
 """
 
 from __future__ import annotations
@@ -559,13 +562,12 @@ def semidirect(m: ModuleData) -> StructurePresentation:
     items = {role: [(i, j, k, c) for (i, j, k), c in op.entries.items()]
              for role, op in m.base.ops.items()}
     for row in rows:
-        entries = m.actions[row.role].entries.items()
         for side, sign, _ in row.sides:
-            # from the left (e_i, v_c) -> v_r, from the right (v_c, e_i) -> v_r
-            items[row.feeds].extend(
-                (i, na + c, na + r, v if sign > 0 else -v) if side == "left"
-                else (na + c, i, na + r, v if sign > 0 else -v)
-                for (i, c, r), v in entries)
+            part = items[row.feeds]
+            for (i, c, r), v in m.actions[row.role].entries.items():
+                v = v if sign > 0 else -v
+                # from the left (e_i, v_c) -> v_r, from the right (v_c, e_i) -> v_r
+                part.append((i, na + c, na + r, v) if side == "left" else (na + c, i, na + r, v))
     for role, feeds in carrier_rows:
         items[feeds].extend((na + i, na + j, na + k, c)
                             for (i, j, k), c in m.carrier_ops[role].entries.items())

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetalg import (
@@ -35,6 +35,7 @@ from jetalg import (
     gen_product_shift,
     gen_truncated_poly_example,
     module_derivation_pair,
+    qcl,
     regular_bimodule,
     regular_bimodule_jet,
     semidirect,
@@ -43,6 +44,7 @@ from jetalg import (
     verify_diagram,
 )
 from jetalg.deform import _merge_layers
+from jetalg import structures
 from jetalg.linalg import vec_clean, vec_iadd, vec_is_zero, vec_sub, vec_unit
 from jetalg.structures import _residual_order, commutativity_failures
 
@@ -527,3 +529,48 @@ def test_jets_of_different_orders_are_rejected():
     p = StructurePresentation(space, {"circ": circ}, "associative")
     with pytest.raises(ValueError, match="jet order mismatch: 1 vs 2"):
         check_structure(p)
+    circ = BilinearOp(space, space, space,
+                      {(0, 0, 1): Jet.h(3), (1, 0, 1): Jet.h(2), (1, 1, 1): Jet.h(1)})
+    p = StructurePresentation(space, {"circ": circ}, "associative")
+    with pytest.raises(ValueError, match="jet order mismatch: 1 vs 2"):
+        check_structure(p)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(presentations(scalars=JETS, max_dim=3), st.data())
+def test_a_rational_constant_reads_as_a_constant_jet(p, data):
+    """A jet-valued presentation may hold plain rationals; each is checked as
+    the constant jet of the presentation's order, in layer 0."""
+    role = data.draw(st.sampled_from(sorted(p.ops)))
+    n = p.space.dim
+    key = data.draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+    value = data.draw(SCALARS)
+    assume(any(k != key or r != role for r, op in p.ops.items() for k in op.entries))
+
+    def with_entry(c):
+        ops = dict(p.ops)
+        entries = dict(ops[role].entries)
+        entries[key] = c
+        ops[role] = BilinearOp(p.space, p.space, p.space, entries)
+        return StructurePresentation(p.space, ops, p.kind)
+
+    assert_same_failures(check_structure(with_entry(value)),
+                         check_structure(with_entry(Jet.constant(value, 2))))
+
+
+def test_each_word_is_joined_once_per_check(poly2, monkeypatch):
+    """The evaluator keeps a word that a later term reuses instead of joining
+    it again: one _word_values call per distinct (outer, inner, side)."""
+    limit = qcl(poly2.jet)
+    _, identities, _ = structures.IDENTITIES[limit.kind]
+    words = {word[:3] for *_, terms in identities for _, word in terms}
+    calls = []
+    word_values = structures._word_values
+
+    def counted(ops, outer, inner, side):
+        calls.append((outer, inner, side))
+        return word_values(ops, outer, inner, side)
+
+    monkeypatch.setattr(structures, "_word_values", counted)
+    assert check_structure(limit).passed
+    assert len(calls) == len(set(calls)) and set(calls) == words
