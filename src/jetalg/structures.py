@@ -76,18 +76,16 @@ class ActionRow(NamedTuple):
     dual: str
 
 
-_ASSOCIATIVE_SPLITS = ("dendriform", "tridendriform")
-
 # base kind -> (action rows, carrier rows (carrier role, base role it adds
 # to), split kinds (with all carrier operations zero, otherwise)); a
 # carrier role, scaled by the weight, is also a split operation of its name
 MODULE_ROLES = {
     "associative": ((ActionRow("left", "circ", (("left", 1, "succ"),), 1, "right"),
                      ActionRow("right", "circ", (("right", 1, "prec"),), 1, "left")),
-                    (("dot", "circ"),), _ASSOCIATIVE_SPLITS),
+                    (("dot", "circ"),), ("dendriform", "tridendriform")),
     "commutative-associative": (
         (ActionRow("act", "circ", (("left", 1, "succ"), ("right", 1, "prec")), 1, "act"),),
-        (("dot", "circ"),), _ASSOCIATIVE_SPLITS),
+        (("dot", "circ"),), ("dendriform", "tridendriform")),
     "lie": ((ActionRow("bracket_act", "bracket",
                        (("left", 1, "triangle"), ("right", -1, None)), -1, "bracket_act"),),
             (("bracket", "bracket"),), ("pre-lie", "post-lie")),
@@ -98,7 +96,6 @@ MODULE_ROLES = {
                 (("bracket", "bracket"), ("dot", "circ")), ("pre-poisson", "post-poisson")),
 }
 
-MODULE_BASE_KINDS = tuple(MODULE_ROLES)
 MODULE_ACTION_ROLES = {kind: tuple(row.role for row in rows)
                        for kind, (rows, _, _) in MODULE_ROLES.items()}
 MODULE_CARRIER_ROLES = {kind: tuple(role for role, _ in carrier)

@@ -35,7 +35,7 @@ from jetalg import (
     tridendriform_bimodule_jet,
 )
 from jetalg.diagrams import _first_difference
-from jetalg.structures import MODULE_ACTION_ROLES, MODULE_BASE_KINDS, MODULE_CARRIER_ROLES
+from jetalg.structures import MODULE_ACTION_ROLES, MODULE_CARRIER_ROLES, MODULE_ROLES
 from module_oracle import from_old, to_old
 from test_identity_engine import MODULE_JETS, SCALARS, assert_same_failures, jet_module
 from test_operators import EX, IDENT, WEIGHTS, loop_check_o_operator, operator_specs
@@ -52,7 +52,7 @@ def _sparse(draw, left, right, out, scalars=SCALARS):
 def modules(draw):
     """Random sparse rational module data of a random base kind, dims 1 to 4,
     with zero or random carrier operations."""
-    kind = draw(st.sampled_from(MODULE_BASE_KINDS))
+    kind = draw(st.sampled_from(sorted(MODULE_ROLES)))
     base_space = Space.make(draw(st.integers(1, 4)))
     carrier = Space.make(draw(st.integers(1, 4)), prefix="v")
     base = StructurePresentation(
