@@ -121,9 +121,9 @@ def induce_splitting(spec: OOperatorSpec) -> StructurePresentation:
     rows, carrier_rows, (plain_kind, kind) = MODULE_ROLES[m.kind]
     ident = LinearMap.identity(m.carrier)
     ops = {}
-    for row in rows:
-        pulled = pullback(m.actions[row.role], spec.operator, ident)
-        for side, _, split in row.sides:
+    for role, _, sides, _, _ in rows:
+        pulled = pullback(m.actions[role], spec.operator, ident)
+        for side, _, split in sides:
             if split is not None:
                 ops[split] = oriented(pulled, side)
     carrier = {role: m.carrier_ops[role].scale(spec.weight) for role, _ in carrier_rows}

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .linalg import BilinearOp, Space, direct_sum
 from .scalars import Jet, scalar_low_order
@@ -59,44 +59,35 @@ SPLITTING_TOTALS = {
 }
 
 
-class ActionRow(NamedTuple):
-    """One action role of a module over a base kind.
-
-    The action feeds the semidirect product of base role `feeds`: from each
-    side in `sides`, (side, sign, split), it enters with that sign, and an
-    operator T splits it into the carrier operation `split` (None: no split
-    operation comes from that side).  The dual module takes this role's
-    action from role `dual`, transposed and scaled by `dual_sign`.
-    """
-
-    role: str
-    feeds: str
-    sides: tuple
-    dual_sign: int
-    dual: str
-
-
-# base kind -> (action rows, carrier rows (carrier role, base role it adds
-# to), split kinds (with all carrier operations zero, otherwise)); a
-# carrier role, scaled by the weight, is also a split operation of its name
+# base kind -> (action rows, carrier rows, split kinds).  An action row is
+# (role, feeds, sides, dual sign, dual): the action feeds the semidirect
+# product of base role `feeds`, from each side in `sides`, (side, sign,
+# split), with that sign, and an operator T splits it there into the carrier
+# operation `split` (None: none from that side); the dual module takes this
+# role's action from role `dual`, transposed and scaled by the dual sign.  A
+# carrier row is (carrier role, base role it adds to); scaled by the weight,
+# the carrier role is also a split operation of its name.  The split kinds
+# are those with all carrier operations zero, and otherwise.
 MODULE_ROLES = {
-    "associative": ((ActionRow("left", "circ", (("left", 1, "succ"),), 1, "right"),
-                     ActionRow("right", "circ", (("right", 1, "prec"),), 1, "left")),
-                    (("dot", "circ"),), ("dendriform", "tridendriform")),
-    "commutative-associative": (
-        (ActionRow("act", "circ", (("left", 1, "succ"), ("right", 1, "prec")), 1, "act"),),
+    "associative": (
+        (("left", "circ", (("left", 1, "succ"),), 1, "right"),
+         ("right", "circ", (("right", 1, "prec"),), 1, "left")),
         (("dot", "circ"),), ("dendriform", "tridendriform")),
-    "lie": ((ActionRow("bracket_act", "bracket",
-                       (("left", 1, "triangle"), ("right", -1, None)), -1, "bracket_act"),),
-            (("bracket", "bracket"),), ("pre-lie", "post-lie")),
-    "poisson": ((ActionRow("bracket_act", "bracket",
-                           (("left", 1, "triangle"), ("right", -1, None)), -1, "bracket_act"),
-                 ActionRow("circ_act", "circ",
-                           (("left", 1, "succ"), ("right", 1, None)), 1, "circ_act")),
-                (("bracket", "bracket"), ("dot", "circ")), ("pre-poisson", "post-poisson")),
+    "commutative-associative": (
+        (("act", "circ", (("left", 1, "succ"), ("right", 1, "prec")), 1, "act"),),
+        (("dot", "circ"),), ("dendriform", "tridendriform")),
+    "lie": (
+        (("bracket_act", "bracket", (("left", 1, "triangle"), ("right", -1, None)), -1,
+          "bracket_act"),),
+        (("bracket", "bracket"),), ("pre-lie", "post-lie")),
+    "poisson": (
+        (("bracket_act", "bracket", (("left", 1, "triangle"), ("right", -1, None)), -1,
+          "bracket_act"),
+         ("circ_act", "circ", (("left", 1, "succ"), ("right", 1, None)), 1, "circ_act")),
+        (("bracket", "bracket"), ("dot", "circ")), ("pre-poisson", "post-poisson")),
 }
 
-MODULE_ACTION_ROLES = {kind: tuple(row.role for row in rows)
+MODULE_ACTION_ROLES = {kind: tuple(role for role, *_ in rows)
                        for kind, (rows, _, _) in MODULE_ROLES.items()}
 MODULE_CARRIER_ROLES = {kind: tuple(role for role, _ in carrier)
                         for kind, (_, carrier, _) in MODULE_ROLES.items()}
@@ -558,10 +549,10 @@ def semidirect(m: ModuleData) -> StructurePresentation:
     total = direct_sum(m.base.space, m.carrier)
     items = {role: [(i, j, k, c) for (i, j, k), c in op.entries.items()]
              for role, op in m.base.ops.items()}
-    for row in rows:
-        for side, sign, _ in row.sides:
-            part = items[row.feeds]
-            for (i, c, r), v in m.actions[row.role].entries.items():
+    for role, feeds, sides, _, _ in rows:
+        for side, sign, _ in sides:
+            part = items[feeds]
+            for (i, c, r), v in m.actions[role].entries.items():
                 v = v if sign > 0 else -v
                 # from the left (e_i, v_c) -> v_r, from the right (v_c, e_i) -> v_r
                 part.append((i, na + c, na + r, v) if side == "left" else (na + c, i, na + r, v))
@@ -603,11 +594,11 @@ def dualize_module(m: ModuleData) -> ModuleData:
     dual = m.carrier.dual()
     rows, carrier_rows, _ = MODULE_ROLES[m.kind]
     actions = {}
-    for row in rows:
-        op = m.actions[row.dual]
-        actions[row.role] = BilinearOp(
+    for role, _, _, dual_sign, partner in rows:
+        op = m.actions[partner]
+        actions[role] = BilinearOp(
             op.left, dual, dual,
-            {(i, r, c): v if row.dual_sign > 0 else -v for (i, c, r), v in op.entries.items()})
+            {(i, r, c): v if dual_sign > 0 else -v for (i, c, r), v in op.entries.items()})
     carrier_ops = {role: BilinearOp.zero(dual, dual, dual) for role, _ in carrier_rows}
     return ModuleData(m.base, dual, carrier_ops, actions)
 
@@ -659,7 +650,8 @@ def regular_bimodule(p: StructurePresentation) -> ModuleData:
         raise ValueError(f"no regular module for kind {p.kind!r}")
     rows, carrier_rows, _ = MODULE_ROLES[p.kind]
     return ModuleData(p, p.space, {role: p.op(feeds) for role, feeds in carrier_rows},
-                      {row.role: oriented(p.op(row.feeds), row.sides[0][0]) for row in rows})
+                      {role: oriented(p.op(feeds), sides[0][0])
+                       for role, feeds, sides, _, _ in rows})
 
 
 def regular_module(p: StructurePresentation) -> ModuleData:
@@ -677,9 +669,9 @@ def _splitting_module(q: StructurePresentation, base: StructurePresentation) -> 
     splits it back into q."""
     rows, carrier_rows, _ = MODULE_ROLES[base.kind]
     actions = {}
-    for row in rows:
-        side, _, split = row.sides[0]
-        actions[row.role] = oriented(q.op(split), side)
+    for role, _, sides, _, _ in rows:
+        side, _, split = sides[0]
+        actions[role] = oriented(q.op(split), side)
     return ModuleData(base, q.space, {role: q.op(role) for role, _ in carrier_rows}, actions)
 
 

@@ -205,7 +205,7 @@ def aw1_induce(r: TensorElement, p: StructurePresentation):
     ident = LinearMap.identity(dual)
     carrier_ops = {}
     for role, feeds in carrier_rows:
-        acting = next(row.role for row in rows if row.feeds == feeds)
+        acting = next(role for role, fed, *_ in rows if fed == feeds)
         carrier_ops[role] = pullback(base_module.actions[acting], sharp_beta, ident).scale(-2)
     if family == "associative":
         residual = ybe_residual("aybe", r, p)
