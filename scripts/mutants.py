@@ -18,7 +18,8 @@ Every mutant is one small change inside the target's source:
 
 Each mutant is written into its own temporary copy of src/ and tests/ (the
 checkout is never touched) and the pytest selection after `--` runs on it
-with -x.  A failing run kills the mutant; a passing one lets it survive.
+with -x, one mutant per CPU at a time.  A failing run kills the mutant, and
+so does a run past ten minutes; a passing one lets it survive.
 Mutants listed in scripts/mutants_equivalent.txt (file, function and the
 mutation's description, one per line, with a reason) are reported as
 equivalent instead of surviving.  The exit status is 1 when any other
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import os
 import shutil
 import subprocess
 import sys
@@ -38,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EQUIVALENT = Path(__file__).resolve().parent / "mutants_equivalent.txt"
+TIMEOUT = 600  # seconds for one pytest run; a mutant that hangs is killed
 
 _ARITH = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Add}
 _COMPARE = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
@@ -146,11 +149,11 @@ def _copy(workdir: Path) -> Path:
     return dest
 
 
-def _run(copy: Path, selection, timeout: float) -> str:
+def _run(copy: Path, selection) -> str:
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
     try:
         proc = subprocess.run(cmd, cwd=copy, env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-                              capture_output=True, text=True, timeout=timeout)
+                              capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "killed (timeout)"
     return "survived" if proc.returncode == 0 else "killed"
@@ -170,8 +173,6 @@ def _equivalent():
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("targets", nargs="+", help="module:name, e.g. structures:semidirect")
-    ap.add_argument("--jobs", type=int, default=2, help="mutants tested at a time")
-    ap.add_argument("--timeout", type=float, default=600, help="seconds per mutant")
     ap.add_argument("--workdir", help="where the temporary copies go")
     argv = sys.argv[1:] if argv is None else list(argv)
     cut = argv.index("--") if "--" in argv else len(argv)
@@ -183,7 +184,7 @@ def main(argv=None) -> int:
     workdir = Path(tempfile.mkdtemp(dir=args.workdir))
     try:
         base = _copy(workdir)
-        if _run(base, selection, args.timeout) != "survived":
+        if _run(base, selection) != "survived":
             raise SystemExit("the selection fails on the unmutated code")
         shutil.rmtree(base)
         todo = [m for target in args.targets for m in mutants(*target.split(":", 1))]
@@ -194,11 +195,11 @@ def main(argv=None) -> int:
             copy = _copy(workdir)
             try:
                 (copy / "src" / "jetalg" / file).write_text(source)
-                return _run(copy, selection, args.timeout)
+                return _run(copy, selection)
             finally:
                 shutil.rmtree(copy)
 
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
             verdicts = list(pool.map(test, todo))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

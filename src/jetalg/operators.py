@@ -121,7 +121,7 @@ def induce_splitting(spec: OOperatorSpec) -> StructurePresentation:
     rows, carrier_rows, (plain_kind, kind) = MODULE_ROLES[m.kind]
     ident = LinearMap.identity(m.carrier)
     ops = {}
-    for role, _, sides, _, _ in rows:
+    for role, _, sides, _ in rows:
         pulled = pullback(m.actions[role], spec.operator, ident)
         for side, _, split in sides:
             if split is not None:

@@ -60,30 +60,30 @@ SPLITTING_TOTALS = {
 
 
 # base kind -> (action rows, carrier rows, split kinds).  An action row is
-# (role, feeds, sides, dual sign, dual): the action feeds the semidirect
-# product of base role `feeds`, from each side in `sides`, (side, sign,
-# split), with that sign, and an operator T splits it there into the carrier
-# operation `split` (None: none from that side); the dual module takes this
-# role's action from role `dual`, transposed and scaled by the dual sign.  A
-# carrier row is (carrier role, base role it adds to); scaled by the weight,
-# the carrier role is also a split operation of its name.  The split kinds
-# are those with all carrier operations zero, and otherwise.
+# (role, feeds, sides, dual): the action feeds the semidirect product of
+# base role `feeds`, from each side in `sides`, (side, sign, split), with
+# that sign, and an operator T splits it there into the carrier operation
+# `split` (None: none from that side); the dual module takes this role's
+# action from role `dual`, transposed.  A carrier row is (carrier role,
+# base role it adds to); scaled by the weight, the carrier role is also a
+# split operation of its name.  The split kinds are those with all carrier
+# operations zero, and otherwise.
 MODULE_ROLES = {
     "associative": (
-        (("left", "circ", (("left", 1, "succ"),), 1, "right"),
-         ("right", "circ", (("right", 1, "prec"),), 1, "left")),
+        (("left", "circ", (("left", 1, "succ"),), "right"),
+         ("right", "circ", (("right", 1, "prec"),), "left")),
         (("dot", "circ"),), ("dendriform", "tridendriform")),
     "commutative-associative": (
-        (("act", "circ", (("left", 1, "succ"), ("right", 1, "prec")), 1, "act"),),
+        (("act", "circ", (("left", 1, "succ"), ("right", 1, "prec")), "act"),),
         (("dot", "circ"),), ("dendriform", "tridendriform")),
     "lie": (
-        (("bracket_act", "bracket", (("left", 1, "triangle"), ("right", -1, None)), -1,
+        (("bracket_act", "bracket", (("left", 1, "triangle"), ("right", -1, None)),
           "bracket_act"),),
         (("bracket", "bracket"),), ("pre-lie", "post-lie")),
     "poisson": (
-        (("bracket_act", "bracket", (("left", 1, "triangle"), ("right", -1, None)), -1,
+        (("bracket_act", "bracket", (("left", 1, "triangle"), ("right", -1, None)),
           "bracket_act"),
-         ("circ_act", "circ", (("left", 1, "succ"), ("right", 1, None)), 1, "circ_act")),
+         ("circ_act", "circ", (("left", 1, "succ"), ("right", 1, None)), "circ_act")),
         (("bracket", "bracket"), ("dot", "circ")), ("pre-poisson", "post-poisson")),
 }
 
@@ -549,7 +549,7 @@ def semidirect(m: ModuleData) -> StructurePresentation:
     total = direct_sum(m.base.space, m.carrier)
     items = {role: [(i, j, k, c) for (i, j, k), c in op.entries.items()]
              for role, op in m.base.ops.items()}
-    for role, feeds, sides, _, _ in rows:
+    for role, feeds, sides, _ in rows:
         for side, sign, _ in sides:
             part = items[feeds]
             for (i, c, r), v in m.actions[role].entries.items():
@@ -584,21 +584,21 @@ def dualize_module(m: ModuleData) -> ModuleData:
     """Dual module on the dual carrier; requires a plain module.
 
     Each dual action is the transpose (i, c, r) -> (i, r, c) of its dual
-    partner's action, scaled by the dual sign: <f(x)u*, v> = -<u*, g(x)v>
-    against the matching original action g gives the positive transpose,
-    with left and right swapped over an associative base, and the coadjoint
-    rule -transpose applies to Lie-type actions.
+    partner's action (over an associative base, left and right swap),
+    negated when the row's side signs multiply to -1: the coadjoint rule
+    for an action that feeds a bracket.
     """
     if not m.is_plain():
         raise ValueError("dualize_module needs trivial carrier operations")
     dual = m.carrier.dual()
     rows, carrier_rows, _ = MODULE_ROLES[m.kind]
     actions = {}
-    for role, _, _, dual_sign, partner in rows:
+    for role, _, sides, partner in rows:
         op = m.actions[partner]
+        positive = math.prod(sign for _, sign, _ in sides) > 0
         actions[role] = BilinearOp(
             op.left, dual, dual,
-            {(i, r, c): v if dual_sign > 0 else -v for (i, c, r), v in op.entries.items()})
+            {(i, r, c): v if positive else -v for (i, c, r), v in op.entries.items()})
     carrier_ops = {role: BilinearOp.zero(dual, dual, dual) for role, _ in carrier_rows}
     return ModuleData(m.base, dual, carrier_ops, actions)
 
@@ -651,7 +651,7 @@ def regular_bimodule(p: StructurePresentation) -> ModuleData:
     rows, carrier_rows, _ = MODULE_ROLES[p.kind]
     return ModuleData(p, p.space, {role: p.op(feeds) for role, feeds in carrier_rows},
                       {role: oriented(p.op(feeds), sides[0][0])
-                       for role, feeds, sides, _, _ in rows})
+                       for role, feeds, sides, _ in rows})
 
 
 def regular_module(p: StructurePresentation) -> ModuleData:
@@ -669,7 +669,7 @@ def _splitting_module(q: StructurePresentation, base: StructurePresentation) -> 
     splits it back into q."""
     rows, carrier_rows, _ = MODULE_ROLES[base.kind]
     actions = {}
-    for role, _, sides, _, _ in rows:
+    for role, _, sides, _ in rows:
         side, _, split = sides[0]
         actions[role] = oriented(q.op(split), side)
     return ModuleData(base, q.space, {role: q.op(role) for role, _ in carrier_rows}, actions)

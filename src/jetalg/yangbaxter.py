@@ -29,7 +29,6 @@ from .linalg import (
 from .operators import OOperatorSpec, check_o_operator
 from .scalars import Jet, scalar_is_zero
 from .structures import (
-    MODULE_ROLES,
     AxiomFailure,
     AxiomReport,
     ModuleData,
@@ -37,6 +36,7 @@ from .structures import (
     as_post_poisson,
     as_tridendriform,
     dualize_module,
+    oriented,
     post_lie_module,
     post_poisson_module,
     regular_bimodule,
@@ -197,16 +197,19 @@ def aw1_induce(r: TensorElement, p: StructurePresentation):
     if family == "poisson" and not _all_invariant("lie", beta, p):
         raise ValueError("the symmetric part of r is not invariant for the bracket")
 
-    # R* and ad* are minus the dual actions of the regular module that feed
-    # the product and the bracket (over a commutative product R = L), so
-    # each induced operation pulls that dual action back along sharp(beta)
+    # R*(x) = -transpose(R(x)) for the right multiplication R of circ, and
+    # the dual action of the bracket is ad*(x) = -transpose(ad(x)); the
+    # induced product is 2 R*(sharp(beta) a*) b* and the bracket
+    # -2 ad*(sharp(beta) a*) b*
     base_module = dualize_module(regular_module(p))
-    rows, carrier_rows, _ = MODULE_ROLES[p.kind]
     ident = LinearMap.identity(dual)
-    carrier_ops = {}
-    for role, feeds in carrier_rows:
-        acting = next(role for role, fed, *_ in rows if fed == feeds)
-        carrier_ops[role] = pullback(base_module.actions[acting], sharp_beta, ident).scale(-2)
+    right = oriented(p.op("circ"), "right")
+    r_star = BilinearOp(right.left, dual, dual,
+                        {(i, k, c): -v for (i, c, k), v in right.entries.items()})
+    carrier_ops = {"dot": pullback(r_star, sharp_beta, ident).scale(2)}
+    if family == "poisson":
+        carrier_ops = {"bracket": pullback(base_module.actions["bracket_act"], sharp_beta,
+                                           ident).scale(-2), **carrier_ops}
     if family == "associative":
         residual = ybe_residual("aybe", r, p)
         residual_zero = residual.is_zero()

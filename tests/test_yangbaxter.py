@@ -137,6 +137,8 @@ def test_dual_induction_negative_fails_both_sides(tri_bundle):
     assert not rep.passed
     assert "AybeResidual" in rep.failing_axioms()
     assert "OCirc" in rep.failing_axioms()
+    # a residual of r is a rational cell, reported at order 0
+    assert all(set(f.residual) == {0} for f in rep.failures if f.axiom == "AybeResidual")
 
 
 def test_dual_induction_poisson(pybe_bundle):
@@ -146,6 +148,18 @@ def test_dual_induction_poisson(pybe_bundle):
     assert "CybeResidual" in rep.checked
 
 
+def test_dual_induction_poisson_negative_reports_both_residuals(pybe_bundle):
+    amb = pybe_bundle.ambient
+    delta = TensorElement.from_entries(
+        amb.space, amb.space, [(0, 5, Fraction(1)), (5, 0, Fraction(-1))])
+    module, rep = aw1_induce(pybe_bundle.tensors["alpha2-plus"].add(delta), amb)
+    assert not rep.passed
+    assert {"AybeResidual", "CybeResidual", "OCirc", "OBracket"} <= set(rep.failing_axioms())
+    residuals = [f for f in rep.failures if f.axiom.endswith("Residual")]
+    assert {f.axiom for f in residuals} == {"AybeResidual", "CybeResidual"}
+    assert all(set(f.residual) == {0} for f in residuals)
+
+
 def test_dual_induction_rejects_noninvariant_symmetric_part():
     sp = Space.make(2)
     circ = BilinearOp.from_entries(sp, sp, sp, [(0, 0, 1, Fraction(1))])
@@ -153,6 +167,29 @@ def test_dual_induction_rejects_noninvariant_symmetric_part():
     b = TensorElement.from_entries(sp, sp, [(0, 0, Fraction(1))])
     with pytest.raises(ValueError, match="not invariant"):
         aw1_induce(b, p)
+
+
+def test_dual_induction_uses_right_multiplications_under_a_commutative_label():
+    # M_2 with E_ij E_kl = delta_jk E_il is not commutative; a deformation of
+    # a commutative-associative target keeps that label on such products.
+    # The induced product is 2 R*(sharp(beta) a*) b* whatever the label.
+    sp = Space.make(4)
+    cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    circ = BilinearOp.on(sp, [(a, b, cells.index((cells[a][0], cells[b][1])), Fraction(1))
+                              for a in range(4) for b in range(4)
+                              if cells[a][1] == cells[b][0]])
+    assert circ != circ.arg_swap()
+    casimir = TensorElement.from_entries(
+        sp, sp, [(0, 0, Fraction(1)), (1, 2, Fraction(1)), (2, 1, Fraction(1)),
+                 (3, 3, Fraction(1))])
+    sb = sharp(casimir.sym())
+    # R(e_i) x = x o e_i; a* . b* has -2 sb[i][a] <e_b*, e_j o e_i> on e_j*
+    expected = BilinearOp.on(sp.dual(), [
+        (a, b, j, -2 * sb.matrix[i][a] * v)
+        for (j, i, b), v in circ.entries.items() for a in range(4)], combine=True)
+    for kind in ("commutative-associative", "associative"):
+        module, _ = aw1_induce(casimir, StructurePresentation(sp, {"circ": circ}, kind))
+        assert module.carrier_ops["dot"] == expected
 
 
 # ---------------------------------------------------------------------------
