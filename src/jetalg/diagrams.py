@@ -145,11 +145,10 @@ def _first_difference(a, b):
     if isinstance(a, TensorElement):
         if (a.left, a.right) != (b.left, b.right):
             return (("space",), (a.left, a.right), (b.left, b.right))
-        for i, row in enumerate(a.matrix):
-            for j, va in enumerate(row):
-                vb = b.matrix[i][j]
-                if va != vb:
-                    return ((i, j), va, vb)
+        for key in sorted(set(a.entries) | set(b.entries)):
+            va, vb = a.entries.get(key, ZERO), b.entries.get(key, ZERO)
+            if va != vb:
+                return (key, va, vb)
         return None
     if isinstance(a, DeformationJet):
         if a.kind != b.kind:

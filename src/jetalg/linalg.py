@@ -2,9 +2,10 @@
 
 Vectors are sparse dicts {basis index: scalar}.  Bilinear operations are
 stored by structure constants, and so are module actions, as operations
-base x carrier -> carrier; linear maps and rank-2 tensors are dense
-matrices.  Scalars may be rationals or truncated h-jets as long as each
-object is homogeneous in the scalar type it carries.
+base x carrier -> carrier; rank-2 tensors and rank-3 residuals are sparse
+dicts of their nonzero cells, and linear maps are dense matrices.  Scalars
+may be rationals or truncated h-jets as long as each object is homogeneous
+in the scalar type it carries.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import Jet, rational, scalar_is_zero
+from .scalars import ZERO, Jet, rational, scalar_is_zero
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -71,29 +72,8 @@ def direct_sum(a: Space, b: Space) -> Space:
 # ---------------------------------------------------------------------------
 # sparse vectors
 
-def vec_unit(i: int) -> dict:
-    return {i: ONE}
-
-
 def vec_clean(v: dict) -> dict:
     return {i: c for i, c in v.items() if not scalar_is_zero(c)}
-
-
-def vec_iadd(acc: dict, v: Mapping, factor=None):
-    for i, c in v.items():
-        acc[i] = acc.get(i, 0) + (c if factor is None else factor * c)
-    return acc
-
-
-def vec_sub(u: Mapping, v: Mapping) -> dict:
-    acc = dict(u)
-    for i, c in v.items():
-        acc[i] = acc.get(i, 0) - c
-    return vec_clean(acc)
-
-
-def vec_is_zero(v: Mapping) -> bool:
-    return all(scalar_is_zero(c) for c in v.values())
 
 
 # ---------------------------------------------------------------------------
@@ -356,52 +336,74 @@ def _nonzero_rows(f: LinearMap):
 # ---------------------------------------------------------------------------
 
 class TensorElement:
-    """Element of left (x) right, stored as a dense matrix."""
+    """Element of left (x) right, stored sparsely.
 
-    __slots__ = ("left", "right", "matrix")
+    entries maps (i, j) to the coefficient of e_i (x) e_j; zero
+    coefficients are never stored.  matrix is a dense view, built on demand.
+    """
+
+    __slots__ = ("left", "right", "entries")
 
     def __init__(self, left: Space, right: Space, matrix):
-        rows = tuple(tuple(_coerce_scalar(c) for c in row) for row in matrix)
-        if len(rows) != left.dim or any(len(r) != right.dim for r in rows):
+        if len(matrix) != left.dim or any(len(row) != right.dim for row in matrix):
             raise ValueError("tensor matrix shape does not match its spaces")
+        entries = {}
+        for i, row in enumerate(matrix):
+            for j, c in enumerate(row):
+                c = _coerce_scalar(c)
+                if not scalar_is_zero(c):
+                    entries[(i, j)] = c
         self.left = left
         self.right = right
-        self.matrix = rows
+        self.entries = entries
+
+    @classmethod
+    def _of(cls, left: Space, right: Space, entries: dict) -> "TensorElement":
+        """From a mapping {(i, j): c} of in-range cells; zero cells are dropped."""
+        t = cls.__new__(cls)
+        t.left = left
+        t.right = right
+        t.entries = {key: c for key, c in entries.items() if not scalar_is_zero(c)}
+        return t
 
     @classmethod
     def zero(cls, left: Space, right: Space):
-        return cls(left, right, [[0] * right.dim for _ in range(left.dim)])
+        return cls._of(left, right, {})
 
     @classmethod
     def from_entries(cls, left: Space, right: Space, items: Iterable):
-        mat = [[0] * right.dim for _ in range(left.dim)]
+        """Build from (i, j, c) tuples; repeated cells are summed."""
+        acc = {}
         for i, j, c in items:
             left.check_index(i)
             right.check_index(j)
-            mat[i][j] = mat[i][j] + _coerce_scalar(c)
-        return cls(left, right, mat)
+            acc[(i, j)] = acc.get((i, j), 0) + _coerce_scalar(c)
+        return cls._of(left, right, acc)
 
-    def entry(self, i: int, j: int):
-        return self.matrix[i][j]
+    @property
+    def matrix(self) -> tuple:
+        cells = self.entries
+        return tuple(tuple(cells.get((i, j), ZERO) for j in range(self.right.dim))
+                     for i in range(self.left.dim))
 
     def nonzero(self) -> Iterator[tuple]:
-        for i, row in enumerate(self.matrix):
-            for j, c in enumerate(row):
-                if not scalar_is_zero(c):
-                    yield i, j, c
+        """(i, j, c) for every nonzero cell, in row-major order."""
+        for (i, j), c in sorted(self.entries.items()):
+            yield i, j, c
 
     def add(self, other: "TensorElement") -> "TensorElement":
         self._require_same_spaces(other)
-        return TensorElement(self.left, self.right,
-                             [[a + b for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.matrix, other.matrix)])
+        acc = dict(self.entries)
+        for key, c in other.entries.items():
+            acc[key] = acc[key] + c if key in acc else c
+        return TensorElement._of(self.left, self.right, acc)
 
     def sub(self, other: "TensorElement") -> "TensorElement":
         return self.add(other.scale(-1))
 
     def scale(self, factor) -> "TensorElement":
-        return TensorElement(self.left, self.right,
-                             [[factor * c for c in row] for row in self.matrix])
+        return TensorElement._of(self.left, self.right,
+                                 {key: factor * c for key, c in self.entries.items()})
 
     def neg(self) -> "TensorElement":
         return self.scale(-1)
@@ -409,19 +411,14 @@ class TensorElement:
     def twist(self) -> "TensorElement":
         if self.left != self.right:
             raise ValueError("twist needs equal left and right spaces")
-        n = self.left.dim
-        return TensorElement(self.left, self.right,
-                             [[self.matrix[j][i] for j in range(n)] for i in range(n)])
+        return TensorElement._of(self.left, self.right,
+                                 {(j, i): c for (i, j), c in self.entries.items()})
 
     def sym(self) -> "TensorElement":
         return self.add(self.twist()).scale(HALF)
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(c) for row in self.matrix for c in row)
-
-    def map_scalars(self, fn) -> "TensorElement":
-        return TensorElement(self.left, self.right,
-                             [[fn(c) for c in row] for row in self.matrix])
+        return not self.entries
 
     def _require_same_spaces(self, other):
         if (self.left, self.right) != (other.left, other.right):
@@ -431,13 +428,12 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         return ((self.left, self.right) == (other.left, other.right)
-                and self.matrix == other.matrix)
+                and self.entries == other.entries)
 
     __hash__ = None
 
     def __repr__(self):
-        nz = sum(1 for _ in self.nonzero())
-        return f"TensorElement({self.left.dim}x{self.right.dim}, {nz} nonzero)"
+        return f"TensorElement({self.left.dim}x{self.right.dim}, {len(self.entries)} nonzero)"
 
 
 class Tensor3:
@@ -457,10 +453,6 @@ class Tensor3:
                 canon[(i, j, k)] = c
         self.spaces = (s1, s2, s3)
         self.entries = canon
-
-    @classmethod
-    def zero(cls, spaces):
-        return cls(spaces, {})
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -483,13 +475,18 @@ class Tensor3:
 # canonical identifications
 
 def sharp(r: TensorElement) -> LinearMap:
-    """Read r in W (x) V as a map V* -> W; the matrix is reused unchanged."""
-    return LinearMap(r.right.dual(), r.left, r.matrix)
+    """Read r in W (x) V as a map V* -> W: row i, column j is r's (i, j) cell."""
+    mat = [[0] * r.right.dim for _ in range(r.left.dim)]
+    for (i, j), c in r.entries.items():
+        mat[i][j] = c
+    return LinearMap(r.right.dual(), r.left, mat)
 
 
 def unsharp(f: LinearMap) -> TensorElement:
     """Inverse of sharp: a map V -> W becomes sum_j f(e_j) (x) e_j^* in W (x) V*."""
-    return TensorElement(f.codomain, f.domain.dual(), f.matrix)
+    return TensorElement._of(f.codomain, f.domain.dual(),
+                             {(i, j): c for i, row in enumerate(f.matrix)
+                              for j, c in enumerate(row)})
 
 
 def eta_embed(r: TensorElement, ambient: Space = None) -> TensorElement:
@@ -500,7 +497,4 @@ def eta_embed(r: TensorElement, ambient: Space = None) -> TensorElement:
             raise ValueError("ambient dimension does not match V + W")
         s = ambient
     nv = r.left.dim
-    out = [[0] * s.dim for _ in range(s.dim)]
-    for i, j, c in r.nonzero():
-        out[i][nv + j] = c
-    return TensorElement(s, s, out)
+    return TensorElement._of(s, s, {(i, nv + j): c for (i, j), c in r.entries.items()})

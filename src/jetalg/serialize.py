@@ -14,7 +14,8 @@ Formats
   deformation  {"dim", "basis", "kind", "order",
                 "layers": {role: [[entries of layer 0], [layer 1], ...]}}
   operator     {"weight": "p/q", "matrix": [[...]], "context": <module or path>}
-  tensor       {"matrix": [[...]]} over a structure given separately
+  tensor       {"matrix": [[...]]} over a structure given separately; in
+               memory only the nonzero cells are kept
   derivations  {"d1": [[...]], "d2": [[...]]}
 """
 
@@ -383,7 +384,10 @@ def load_operator(path) -> OOperatorSpec:
 
 
 def tensor_to_dict(r: TensorElement) -> dict:
-    return {"matrix": _matrix_to(r.matrix)}
+    rows = [["0"] * r.right.dim for _ in range(r.left.dim)]
+    for (i, j), c in r.entries.items():
+        rows[i][j] = scalar_text(c)
+    return {"matrix": rows}
 
 
 def tensor_from_dict(d: dict, space: Space, where: str = "tensor") -> TensorElement:

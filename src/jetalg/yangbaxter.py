@@ -1,15 +1,20 @@
 """Yang-Baxter residuals, solution constructors, and deformation transfer.
 
-Residuals are computed in coordinates as rank-3 tensors; a candidate solves
-the equation exactly when its residual has no nonzero entry.  Solution
-constructors always rebuild their ambient algebras through the semidirect
-and dualization code paths and re-verify every tensor they emit.
+Residuals are sparse rank-3 tensors; a candidate solves the equation
+exactly when its residual has no nonzero entry.  Each residual is one join
+of the tensor's nonzero cells with the product's structure constants, run
+in integers; a jet-valued product is split into its h-layers, joined layer
+by layer and merged back into jet cells.  Solution constructors always
+rebuild their ambient algebras through the semidirect and dualization code
+paths and re-verify every tensor they emit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping
 
 from .deform import DeformationJet, ModuleDeformationJet
@@ -27,12 +32,13 @@ from .linalg import (
     unsharp,
 )
 from .operators import OOperatorSpec, check_o_operator
-from .scalars import Jet, scalar_is_zero
+from .scalars import Jet
 from .structures import (
     AxiomFailure,
     AxiomReport,
     ModuleData,
     StructurePresentation,
+    _layers_of,
     as_post_poisson,
     as_tridendriform,
     dualize_module,
@@ -59,77 +65,97 @@ def _check_tensor_space(r: TensorElement, p: StructurePresentation):
         raise ValueError("tensor does not live on the structure's space")
 
 
-def _assoc_residual(r: TensorElement, mul: BilinearOp, opposite: bool) -> Tensor3:
-    """r12 r13 + r13 r23 - r23 r12, or the opposite-order version."""
-    entries = {}
-
-    def put(key, value):
-        entries[key] = entries.get(key, 0) + value
-
-    nz = list(r.nonzero())
-    for u1, v1, c1 in nz:
-        for u2, v2, c2 in nz:
-            f = c1 * c2
-            if not opposite:
-                for k, c in mul.basis(u1, u2).items():
-                    put((k, v1, v2), f * c)
-                for k, c in mul.basis(v1, v2).items():
-                    put((u1, u2, k), f * c)
-                for k, c in mul.basis(u1, v2).items():
-                    put((u2, k, v1), -(f * c))
-            else:
-                for k, c in mul.basis(u1, u2).items():
-                    put((k, v2, v1), f * c)
-                for k, c in mul.basis(v1, v2).items():
-                    put((u2, u1, k), f * c)
-                for k, c in mul.basis(v1, u2).items():
-                    put((u1, k, v2), -(f * c))
-    s = r.left
-    return Tensor3((s, s, s), entries)
+# Each residual is a sum of terms.  A term takes every entry of t (r, or b
+# for invariance), puts its slot `row` into argument `pos` of the product
+# and walks the product entries with that argument.  It joins their other
+# argument with the entries of t on slot `side`, or with None keeps it
+# free.  With a the other slot of the first entry of t, b the joined
+# entry's other slot (or the free argument) and k the product's output, it
+# adds sign * (product of the coefficients) at the cell that `place` picks
+# from (a, b, k).  Rows: (row, pos, side, place, sign).
+_AYBE = ((0, 0, 0, (2, 0, 1), 1), (1, 0, 1, (0, 1, 2), 1), (0, 0, 1, (1, 2, 0), -1))
+_AYBE_OP = ((0, 0, 0, (2, 1, 0), 1), (1, 0, 1, (1, 0, 2), 1), (1, 0, 0, (0, 2, 1), -1))
+_CYBE = ((0, 0, 0, (2, 0, 1), 1), (1, 0, 0, (0, 2, 1), 1), (1, 0, 1, (0, 1, 2), 1))
+# invariance cells are (x, i, j), x the free argument
+_INV_ASSOC = ((1, 1, None, (1, 0, 2), 1), (0, 0, None, (1, 2, 0), -1))
+_INV_LIE = ((0, 1, None, (1, 2, 0), 1), (1, 1, None, (1, 0, 2), 1))
+_YBE_PARTS = {"aybe": (("circ", _AYBE),), "aybe-op": (("circ", _AYBE_OP),),
+              "cybe": (("bracket", _CYBE),),
+              "pybe": (("circ", _AYBE), ("bracket", _CYBE))}
+_INVARIANCE_PARTS = {"associative": ("circ", _INV_ASSOC), "lie": ("bracket", _INV_LIE)}
 
 
-def _lie_residual(r: TensorElement, br: BilinearOp) -> Tensor3:
-    """[r12, r13] + [r12, r23] + [r13, r23]."""
-    entries = {}
+def _join(t_int, product, terms):
+    rows = ({}, {})
+    for (i, j, k), c in product.items():
+        rows[0].setdefault(i, []).append((j, k, c))
+        rows[1].setdefault(j, []).append((i, k, c))
+    slots = ({}, {})
+    for (u, v), c in t_int.items():
+        slots[0].setdefault(u, []).append((v, c))
+        slots[1].setdefault(v, []).append((u, c))
+    acc = {}
+    for row, pos, side, place, sign in terms:
+        place = itemgetter(*place)
+        for key, c1 in t_int.items():
+            a = key[1 - row]
+            for arg, k, c in rows[pos].get(key[row], ()):
+                f = sign * c1 * c
+                for b, c2 in ((arg, 1),) if side is None else slots[side].get(arg, ()):
+                    at = place((a, b, k))
+                    acc[at] = acc.get(at, 0) + f * c2
+    return acc
 
-    def put(key, value):
-        entries[key] = entries.get(key, 0) + value
 
-    nz = list(r.nonzero())
-    for u1, v1, c1 in nz:
-        for u2, v2, c2 in nz:
-            f = c1 * c2
-            for k, c in br.basis(u1, u2).items():
-                put((k, v1, v2), f * c)
-            for k, c in br.basis(v1, u2).items():
-                put((u1, k, v2), f * c)
-            for k, c in br.basis(v1, v2).items():
-                put((u1, u2, k), f * c)
-    s = r.left
-    return Tensor3((s, s, s), entries)
+def _int_layers(layers):
+    """(L, each layer's entries times L, as ints), L the lcm of all their
+    denominators."""
+    scale = math.lcm(*{c.denominator for entries in layers for c in entries.values()})
+    return scale, [{key: c.numerator * (scale // c.denominator) for key, c in entries.items()}
+                   for entries in layers]
+
+
+def _merge(layers, order):
+    """Cells given per h-order as one mapping: jets of that order, or the one
+    rational layer itself for order None."""
+    if order is None:
+        return layers[0]
+    return {key: Jet.from_layers([cells.get(key, 0) for cells in layers], order)
+            for key in set().union(*layers)}
+
+
+def _joined(terms, t: TensorElement, p: StructurePresentation, role, degree):
+    """Nonzero cells of a residual of degree `degree` in t and linear in p's
+    role.  t (rational) and each h-layer of the operation are scaled to
+    integers by the lcm of their denominators and joined; only nonzero cells
+    are divided back.  A jet-valued p gives jet cells of its order."""
+    _op_for(p, role)
+    layers, order = _layers_of(p)
+    scale_t, (t_int,) = _int_layers((t.entries,))
+    scale_m, products = _int_layers(layers[role])
+    denominator = scale_t ** degree * scale_m
+    return _merge([{key: Fraction(c, denominator)
+                    for key, c in _join(t_int, product, terms).items() if c}
+                   for product in products], order)
 
 
 def ybe_residual(kind: str, r: TensorElement, p: StructurePresentation):
     """Residual tensor(s) of the named Yang-Baxter equation.
 
-    "aybe" and "aybe-op" contract with the associative product, "cybe" with
-    the bracket; "pybe" returns the (aybe, cybe) pair for a Poisson ambient.
+    "aybe" is r12 r13 + r13 r23 - r23 r12 and "aybe-op" its opposite-order
+    version, contracted with the associative product; "cybe" is
+    [r12, r13] + [r12, r23] + [r13, r23] with the bracket; "pybe" returns the
+    (aybe, cybe) pair for a Poisson ambient.
     """
     if kind not in YBE_KINDS:
         raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
     _check_tensor_space(r, p)
-    if kind == "aybe":
-        return _assoc_residual(r, _op_for(p, "circ"), opposite=False)
-    if kind == "aybe-op":
-        return _assoc_residual(r, _op_for(p, "circ"), opposite=True)
-    if kind == "cybe":
-        return _lie_residual(r, _op_for(p, "bracket"))
-    if p.kind != "poisson":
+    if kind == "pybe" and p.kind != "poisson":
         raise ValueError("the Poisson equation needs a Poisson ambient")
-    return (
-        _assoc_residual(r, _op_for(p, "circ"), opposite=False),
-        _lie_residual(r, _op_for(p, "bracket")),
-    )
+    s = r.left
+    parts = tuple(Tensor3((s, s, s), _joined(terms, r, p, role, 2))
+                  for role, terms in _YBE_PARTS[kind])
+    return parts if kind == "pybe" else parts[0]
 
 
 def invariance_residual(kind: str, b: TensorElement, p: StructurePresentation):
@@ -139,31 +165,13 @@ def invariance_residual(kind: str, b: TensorElement, p: StructurePresentation):
     invariant tensors; kind "lie": (ad(x) (x) id + id (x) ad(x)) b.
     """
     _check_tensor_space(b, p)
-    n = p.space.dim
-    out = []
-    if kind == "associative":
-        mul = _op_for(p, "circ")
-        for x in range(n):
-            items = []
-            for i, j, c in b.nonzero():
-                for k, v in mul.basis(x, j).items():
-                    items.append((i, k, c * v))
-                for k, v in mul.basis(i, x).items():
-                    items.append((k, j, -(c * v)))
-            out.append(TensorElement.from_entries(p.space, p.space, items))
-        return tuple(out)
-    if kind == "lie":
-        br = _op_for(p, "bracket")
-        for x in range(n):
-            items = []
-            for i, j, c in b.nonzero():
-                for k, v in br.basis(x, i).items():
-                    items.append((k, j, c * v))
-                for k, v in br.basis(x, j).items():
-                    items.append((i, k, c * v))
-            out.append(TensorElement.from_entries(p.space, p.space, items))
-        return tuple(out)
-    raise ValueError(f"unknown invariance kind {kind!r}")
+    if kind not in _INVARIANCE_PARTS:
+        raise ValueError(f"unknown invariance kind {kind!r}")
+    role, terms = _INVARIANCE_PARTS[kind]
+    per_x = [{} for _ in range(p.space.dim)]
+    for (x, i, j), c in _joined(terms, b, p, role, 1).items():
+        per_x[x][(i, j)] = c
+    return tuple(TensorElement._of(p.space, p.space, cells) for cells in per_x)
 
 
 def _all_invariant(kind, b, p) -> bool:
@@ -432,49 +440,41 @@ def deformation_transfer(r: TensorElement, j: DeformationJet,
 
     if j.kind not in ("associative", "commutative-associative"):
         raise ValueError("transfer expects an associative ambient jet")
-    p_jet = j.jet_presentation()
-    _check_tensor_space(r, p_jet)
+    # both hypotheses are linear in the product and r is rational, so their
+    # h^s part is the rational residual on layer s alone
+    layers = [j.layer(s) for s in range(j.order + 1)]
+    _check_tensor_space(r, layers[0])
+    space = j.space
     beta = r.add(r.twist())
 
     failures = []
     checked = []
-
-    hyp_ok = True
     if not invariance_only:
         checked.append("hypothesis:jet-aybe")
-        res = ybe_residual("aybe", r, p_jet)
-        if not res.is_zero():
-            failures.extend(_tensor3_failures("hypothesis:jet-aybe", res))
-            hyp_ok = False
+        res = _merge([ybe_residual("aybe", r, layer).entries for layer in layers], j.order)
+        failures.extend(_tensor3_failures("hypothesis:jet-aybe", Tensor3((space,) * 3, res)))
     checked.append("hypothesis:jet-invariance")
-    inv = invariance_residual("associative", beta, p_jet)
-    if not all(t.is_zero() for t in inv):
-        failures.extend(_invariance_failures("hypothesis:jet-invariance", inv))
-        hyp_ok = False
+    per_layer = [invariance_residual("associative", beta, layer) for layer in layers]
+    inv = [TensorElement._of(space, space, _merge([ts[x].entries for ts in per_layer], j.order))
+           for x in range(space.dim)]
+    failures.extend(_invariance_failures("hypothesis:jet-invariance", inv))
 
-    if hyp_ok:
+    if not failures:
         limit = qcl(j)
         if invariance_only:
             checked.append("conclusion:qcl-bracket-invariance")
-            inv_lie = invariance_residual("lie", beta, limit)
-            if not all(t.is_zero() for t in inv_lie):
-                failures.extend(
-                    _invariance_failures("conclusion:qcl-bracket-invariance", inv_lie))
+            failures.extend(_invariance_failures("conclusion:qcl-bracket-invariance",
+                                                 invariance_residual("lie", beta, limit)))
         else:
             res_a, res_c = ybe_residual("pybe", r, limit)
             checked.append("conclusion:qcl-aybe")
-            if not res_a.is_zero():
-                failures.extend(_tensor3_failures("conclusion:qcl-aybe", res_a))
+            failures.extend(_tensor3_failures("conclusion:qcl-aybe", res_a))
             checked.append("conclusion:qcl-cybe")
-            if not res_c.is_zero():
-                failures.extend(_tensor3_failures("conclusion:qcl-cybe", res_c))
+            failures.extend(_tensor3_failures("conclusion:qcl-cybe", res_c))
             checked.append("conclusion:qcl-invariance")
             inv_a = invariance_residual("associative", beta, limit)
             inv_l = invariance_residual("lie", beta, limit)
-            bad = [t for t in inv_a + inv_l if not t.is_zero()]
-            if bad:
-                failures.extend(
-                    _invariance_failures("conclusion:qcl-invariance", inv_a + inv_l))
+            failures.extend(_invariance_failures("conclusion:qcl-invariance", inv_a + inv_l))
 
     return AxiomReport(not failures, tuple(failures), tuple(checked),
                        "transfer through the quasiclassical limit")

@@ -15,9 +15,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from jetalg import BilinearOp, LinearMap, ModuleData, Space, StructurePresentation, direct_sum
-from jetalg.linalg import vec_clean, vec_iadd, vec_unit
+from jetalg.linalg import vec_clean
 from jetalg.scalars import Jet, rational, scalar_is_zero
 from jetalg.structures import MODULE_CARRIER_ROLES
+from vectors import vec_iadd, vec_unit
 
 
 def _coerce(c):

@@ -23,7 +23,7 @@ from jetalg import (
     tridendriform_bimodule_jet,
 )
 from jetalg.deform import derivation_failures
-from jetalg.linalg import vec_is_zero, vec_sub, vec_unit
+from vectors import vec_is_zero, vec_sub, vec_unit
 from module_oracle import DenseMap
 from jetalg.structures import StructurePresentation
 from test_identity_engine import SCALARS, presentations

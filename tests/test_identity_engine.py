@@ -31,7 +31,10 @@ from jetalg import (
     check_module,
     check_scalar_deformation,
     check_structure,
+    construct_solutions,
+    deformation_transfer,
     derive_deformation,
+    dual_semidirect_jet,
     gen_product_shift,
     gen_truncated_poly_example,
     module_derivation_pair,
@@ -45,7 +48,8 @@ from jetalg import (
 )
 from jetalg.deform import _merge_layers
 from jetalg import structures
-from jetalg.linalg import vec_clean, vec_iadd, vec_is_zero, vec_sub, vec_unit
+from jetalg.linalg import vec_clean
+from vectors import vec_iadd, vec_is_zero, vec_sub, vec_unit
 from jetalg.structures import _residual_order, commutativity_failures
 
 
@@ -501,9 +505,11 @@ def test_module_deformation_checks_agree_with_the_merged_jet_module(mj):
     assert_same_failures(got, dense_check_structure(semidirect(jet_module(mj)), subject))
 
 
-def test_deformation_checks_make_no_jet_multiplications(poly3, monkeypatch):
+def test_deformation_checks_make_no_jet_multiplications(poly3, poly2, monkeypatch):
     module_jet = tridendriform_bimodule_jet(poly3.jet)
     spec = OOperatorSpec(LinearMap.identity(poly3.space), Fraction(1), module_jet.layer0())
+    ehat = dual_semidirect_jet(tridendriform_bimodule_jet(poly2.jet).semidirect_jet())
+    r = construct_solutions("tri-aybe", poly2.presentation).tensors["alpha1-plus"]
     calls = []
     mul = Jet.__mul__
 
@@ -518,6 +524,8 @@ def test_deformation_checks_make_no_jet_multiplications(poly3, monkeypatch):
     assert check_scalar_deformation(spec, module_jet).passed
     assert verify_diagram("pro-diagotri").passed
     assert verify_diagram("pro-diaid").passed
+    assert deformation_transfer(r, ehat).passed
+    assert deformation_transfer(r, ehat, invariance_only=True).passed
     assert calls == []
     Jet.h(1) * 2
     assert len(calls) == 1

@@ -40,7 +40,8 @@ from jetalg import (
     tridendriform_bimodule,
     tridendriform_bimodule_jet,
 )
-from jetalg.linalg import vec_clean, vec_iadd, vec_is_zero, vec_sub, vec_unit
+from jetalg.linalg import vec_clean
+from vectors import vec_iadd, vec_is_zero, vec_sub, vec_unit
 from jetalg.structures import (
     StructurePresentation,
     _residual_order,

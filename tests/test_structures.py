@@ -29,7 +29,7 @@ from jetalg import (
     tridendriform_bimodule,
     truncated_polynomial_algebra,
 )
-from jetalg.linalg import vec_is_zero, vec_sub, vec_unit
+from vectors import vec_is_zero, vec_sub, vec_unit
 from jetalg.structures import _residual_order
 from module_oracle import DenseMap, left_multiplications, to_old
 
