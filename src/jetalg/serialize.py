@@ -392,7 +392,8 @@ def tensor_to_dict(r: TensorElement) -> dict:
 
 def tensor_from_dict(d: dict, space: Space, where: str = "tensor") -> TensorElement:
     matrix = _matrix_from(_need(d, "matrix", where), space, space, f"{where}.matrix")
-    return TensorElement(space, space, matrix)
+    return TensorElement.from_entries(space, space, ((i, j, c) for i, row in enumerate(matrix)
+                                                     for j, c in enumerate(row) if c))
 
 
 def save_tensor(r: TensorElement, path):
