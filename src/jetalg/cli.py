@@ -10,6 +10,7 @@ conclusion), 2 unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -273,6 +274,7 @@ def _cmd_ybe_transfer(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache  # one tree per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetalg",
@@ -397,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except FileFormatError as exc:

@@ -354,10 +354,10 @@ def _derived_layers(op: BilinearOp, p1, p2, order: int) -> tuple[BilinearOp, ...
     for s in range(order + 1):
         inv = Fraction(1, math.factorial(s))
         items = []
+        d2_cols = [p2[s].column(j) for j in range(n_r)]
         for i in range(n_l):
             u = p1[s].column(i)
-            for j in range(n_r):
-                v = p2[s].column(j)
+            for j, v in enumerate(d2_cols):
                 for k, c in op.apply(u, v).items():
                     items.append((i, j, k, inv * c))
         layers.append(BilinearOp.from_entries(op.left, op.right, op.out, items, combine=True))

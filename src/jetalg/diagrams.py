@@ -130,26 +130,13 @@ def _first_difference(a, b):
             return (("space",), a.space, b.space)
         return _dict_difference(a.ops, b.ops, ())
     if isinstance(a, BilinearOp):
-        for key in sorted(set(a.entries) | set(b.entries)):
-            va, vb = a.entries.get(key, 0), b.entries.get(key, 0)
-            if va != vb:
-                return (key, va, vb)
-        return None
+        return _cell_difference(a.entries, b.entries, 0)
     if isinstance(a, LinearMap):
-        for i, row in enumerate(a.matrix):
-            for j, va in enumerate(row):
-                vb = b.matrix[i][j]
-                if va != vb:
-                    return ((i, j), va, vb)
-        return None
+        return _cell_difference(a.entries, b.entries, ZERO)
     if isinstance(a, TensorElement):
         if (a.left, a.right) != (b.left, b.right):
             return (("space",), (a.left, a.right), (b.left, b.right))
-        for key in sorted(set(a.entries) | set(b.entries)):
-            va, vb = a.entries.get(key, ZERO), b.entries.get(key, ZERO)
-            if va != vb:
-                return (key, va, vb)
-        return None
+        return _cell_difference(a.entries, b.entries, ZERO)
     if isinstance(a, DeformationJet):
         if a.kind != b.kind:
             return (("kind",), a.kind, b.kind)
@@ -197,6 +184,15 @@ def _first_difference(a, b):
                 return ((role,) + where, va, vb)
         return None
     return None if a == b else ((), a, b)
+
+
+def _cell_difference(ea, eb, zero):
+    """First differing cell of two sparse entry dicts, absent cells reading zero."""
+    for key in sorted(set(ea) | set(eb)):
+        va, vb = ea.get(key, zero), eb.get(key, zero)
+        if va != vb:
+            return (key, va, vb)
+    return None
 
 
 def _action_difference(a: BilinearOp, b: BilinearOp):

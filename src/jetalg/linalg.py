@@ -2,10 +2,12 @@
 
 Vectors are sparse dicts {basis index: scalar}.  Bilinear operations are
 stored by structure constants, and so are module actions, as operations
-base x carrier -> carrier; rank-2 tensors and rank-3 residuals are sparse
-dicts of their nonzero cells, and linear maps are dense matrices.  Scalars
-may be rationals or truncated h-jets as long as each object is homogeneous
-in the scalar type it carries.
+base x carrier -> carrier; linear maps, rank-2 tensors and rank-3 residuals
+are sparse dicts of their nonzero cells, and a dense matrix is only a view.
+Public constructors check every index and scalar; the `_of` constructors
+take cells the library built itself and only drop zeros.  Scalars may be
+rationals or truncated h-jets as long as each object is homogeneous in the
+scalar type it carries.
 """
 
 from __future__ import annotations
@@ -70,10 +72,21 @@ def direct_sum(a: Space, b: Space) -> Space:
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors
+# sparse vectors and matrices
 
 def vec_clean(v: dict) -> dict:
     return {i: c for i, c in v.items() if not scalar_is_zero(c)}
+
+
+def _dense_cells(matrix) -> dict:
+    """{(i, j): c} for the nonzero cells of a dense matrix, scalars coerced."""
+    cells = ((i, j, _coerce_scalar(c)) for i, row in enumerate(matrix)
+             for j, c in enumerate(row))
+    return {(i, j): c for i, j, c in cells if not scalar_is_zero(c)}
+
+
+def _dense_view(cells: Mapping, n_rows: int, n_cols: int) -> tuple:
+    return tuple(tuple(cells.get((i, j), ZERO) for j in range(n_cols)) for i in range(n_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -88,22 +101,27 @@ class BilinearOp:
     __slots__ = ("left", "right", "out", "entries", "_by_ij")
 
     def __init__(self, left: Space, right: Space, out: Space, entries: Mapping):
-        canon = {}
-        by_ij = {}
-        for (i, j, k), c in entries.items():
+        for i, j, k in entries:
             left.check_index(i)
             right.check_index(j)
             out.check_index(k)
-            c = _coerce_scalar(c)
-            if scalar_is_zero(c):
-                continue
-            canon[(i, j, k)] = c
-            by_ij.setdefault((i, j), []).append((k, c))
-        self.left = left
-        self.right = right
-        self.out = out
-        self.entries = canon
-        self._by_ij = by_ij
+        self._fill(left, right, out, {key: _coerce_scalar(c) for key, c in entries.items()})
+
+    @classmethod
+    def _of(cls, left: Space, right: Space, out: Space, entries: Mapping) -> "BilinearOp":
+        """From a mapping {(i, j, k): c} of in-range scalar cells; zeros are dropped."""
+        op = cls.__new__(cls)
+        op._fill(left, right, out, entries)
+        return op
+
+    def _fill(self, left, right, out, entries):
+        canon, by_ij = {}, {}
+        for (i, j, k), c in entries.items():
+            if not scalar_is_zero(c):
+                canon[(i, j, k)] = c
+                by_ij.setdefault((i, j), []).append((k, c))
+        self.left, self.right, self.out = left, right, out
+        self.entries, self._by_ij = canon, by_ij
 
     @classmethod
     def from_entries(cls, left, right, out, items: Iterable, combine: bool = False):
@@ -149,13 +167,13 @@ class BilinearOp:
         acc = dict(self.entries)
         for key, c in other.entries.items():
             acc[key] = acc.get(key, 0) + c
-        return BilinearOp(self.left, self.right, self.out, acc)
+        return BilinearOp._of(self.left, self.right, self.out, acc)
 
     def sub(self, other: "BilinearOp") -> "BilinearOp":
         return self.add(other.scale(-1))
 
     def scale(self, factor) -> "BilinearOp":
-        return BilinearOp(
+        return BilinearOp._of(
             self.left, self.right, self.out,
             {key: factor * c for key, c in self.entries.items()},
         )
@@ -165,7 +183,7 @@ class BilinearOp:
 
     def arg_swap(self) -> "BilinearOp":
         """The opposite operation op^op(x, y) = op(y, x)."""
-        return BilinearOp(
+        return BilinearOp._of(
             self.right, self.left, self.out,
             {(j, i, k): c for (i, j, k), c in self.entries.items()},
         )
@@ -203,71 +221,87 @@ class BilinearOp:
 # ---------------------------------------------------------------------------
 
 class LinearMap:
-    """Dense linear map; matrix[i][j] is the e_i-coefficient of f(e_j)."""
+    """Linear map domain -> codomain, stored sparsely.
 
-    __slots__ = ("domain", "codomain", "matrix")
+    entries maps (i, j) to the e_i-coefficient of f(e_j); zero coefficients
+    are never stored.  matrix is a dense view, built on demand.
+    """
+
+    __slots__ = ("domain", "codomain", "entries", "_lines")
 
     def __init__(self, domain: Space, codomain: Space, matrix):
-        rows = tuple(tuple(_coerce_scalar(c) for c in row) for row in matrix)
-        if len(rows) != codomain.dim or any(len(r) != domain.dim for r in rows):
-            raise ValueError(
-                f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not "
-                f"match codomain {codomain.dim} x domain {domain.dim}"
-            )
-        self.domain = domain
-        self.codomain = codomain
-        self.matrix = rows
+        if len(matrix) != codomain.dim or any(len(row) != domain.dim for row in matrix):
+            raise ValueError(f"matrix shape {len(matrix)}x{len(matrix[0]) if matrix else 0} "
+                             f"does not match codomain {codomain.dim} x domain {domain.dim}")
+        self.domain, self.codomain, self._lines = domain, codomain, None
+        self.entries = _dense_cells(matrix)
+
+    @classmethod
+    def _of(cls, domain: Space, codomain: Space, entries: Mapping) -> "LinearMap":
+        """From a mapping {(i, j): c} of in-range scalar cells; zeros are dropped."""
+        f = cls.__new__(cls)
+        f.domain, f.codomain, f._lines = domain, codomain, None
+        f.entries = {key: c for key, c in entries.items() if not scalar_is_zero(c)}
+        return f
 
     @classmethod
     def identity(cls, space: Space):
-        n = space.dim
-        return cls(space, space, [[ONE if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of(space, space, {(i, i): ONE for i in range(space.dim)})
 
     @classmethod
     def diagonal(cls, space: Space, values):
         values = list(values)
         if len(values) != space.dim:
             raise ValueError("diagonal length does not match dimension")
-        return cls(space, space,
-                   [[values[i] if i == j else 0 for j in range(space.dim)]
-                    for i in range(space.dim)])
+        return cls._of(space, space, {(i, i): _coerce_scalar(v) for i, v in enumerate(values)})
+
+    @property
+    def matrix(self) -> tuple:
+        return _dense_view(self.entries, self.codomain.dim, self.domain.dim)
+
+    def lines(self) -> tuple:
+        """(rows, cols) of the nonzero (j, c) and (i, c) pairs, in index order; cached."""
+        if self._lines is None:
+            rows = [[] for _ in range(self.codomain.dim)]
+            cols = [[] for _ in range(self.domain.dim)]
+            for (i, j), c in sorted(self.entries.items()):
+                rows[i].append((j, c))
+                cols[j].append((i, c))
+            self._lines = rows, cols
+        return self._lines
 
     def column(self, j: int) -> dict:
-        return vec_clean({i: self.matrix[i][j] for i in range(self.codomain.dim)})
+        return dict(self.lines()[1][j])
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("composition domain mismatch")
-        n, m, p = self.codomain.dim, self.domain.dim, other.domain.dim
-        a, b = self.matrix, other.matrix
-        out = [[0] * p for _ in range(n)]
-        for i in range(n):
-            for t in range(m):
-                c = a[i][t]
-                if scalar_is_zero(c):
-                    continue
-                for j in range(p):
-                    d = b[t][j]
-                    if not scalar_is_zero(d):
-                        out[i][j] = out[i][j] + c * d
-        return LinearMap(other.domain, self.codomain, out)
+        rows_b = other.lines()[0]
+        acc = {}
+        for (i, t), c in self.entries.items():
+            for j, d in rows_b[t]:
+                acc[(i, j)] = acc.get((i, j), 0) + c * d
+        return LinearMap._of(other.domain, self.codomain, acc)
 
     def commutes_with(self, other: "LinearMap") -> bool:
         return self.compose(other) == other.compose(self)
 
     def is_zero(self) -> bool:
-        return all(scalar_is_zero(c) for row in self.matrix for c in row)
+        return not self.entries
 
     def block(self, rows: range, cols: range, domain: Space, codomain: Space) -> "LinearMap":
-        mat = [[self.matrix[i][j] for j in cols] for i in rows]
-        return LinearMap(domain, codomain, mat)
+        if (len(rows), len(cols)) != (codomain.dim, domain.dim):
+            raise ValueError("block shape does not match its spaces")
+        return LinearMap._of(domain, codomain, {(rows.index(i), cols.index(j)): c
+                                                for (i, j), c in self.entries.items()
+                                                if i in rows and j in cols})
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
         return ((self.domain, self.codomain) == (other.domain, other.codomain)
-                and self.matrix == other.matrix)
+                and self.entries == other.entries)
 
     __hash__ = None
 
@@ -279,17 +313,12 @@ def block_diag(a: LinearMap, b: LinearMap, space: Space = None) -> LinearMap:
     """Block-diagonal endomorphism on the direct sum of two endomorphism spaces."""
     if a.domain != a.codomain or b.domain != b.codomain:
         raise ValueError("block_diag expects endomorphisms")
-    if space is None:
-        space = direct_sum(a.domain, b.domain)
-    n, m = a.domain.dim, b.domain.dim
-    mat = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            mat[i][j] = a.matrix[i][j]
-    for i in range(m):
-        for j in range(m):
-            mat[n + i][n + j] = b.matrix[i][j]
-    return LinearMap(space, space, mat)
+    n = a.domain.dim
+    space = space or direct_sum(a.domain, b.domain)
+    if space.dim != n + b.domain.dim:
+        raise ValueError("block_diag space does not match the two blocks")
+    shifted = {(n + i, n + j): c for (i, j), c in b.entries.items()}
+    return LinearMap._of(space, space, {**a.entries, **shifted})
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +328,7 @@ def pullback(op: BilinearOp, f: LinearMap, g: LinearMap) -> BilinearOp:
     """op(f x, g y) as an operation on f.domain x g.domain."""
     if (f.codomain, g.codomain) != (op.left, op.right):
         raise ValueError("pullback maps do not land in the operation's arguments")
-    rows_f, rows_g = _nonzero_rows(f), _nonzero_rows(g)
+    rows_f, rows_g = f.lines()[0], g.lines()[0]
     acc = {}
     for (i, j, k), c in op.entries.items():
         for a, fa in rows_f[i]:
@@ -307,30 +336,20 @@ def pullback(op: BilinearOp, f: LinearMap, g: LinearMap) -> BilinearOp:
             for b, gb in rows_g[j]:
                 key = (a, b, k)
                 acc[key] = acc.get(key, 0) + fc * gb
-    return BilinearOp(f.domain, g.domain, op.out, acc)
+    return BilinearOp._of(f.domain, g.domain, op.out, acc)
 
 
 def pushforward(f: LinearMap, op: BilinearOp) -> BilinearOp:
     """f(op(x, y)) as an operation into f.codomain."""
     if f.domain != op.out:
         raise ValueError("pushforward map does not start where the operation lands")
-    cols = [[] for _ in range(f.domain.dim)]
-    for k, row in enumerate(f.matrix):
-        for m, c in enumerate(row):
-            if not scalar_is_zero(c):
-                cols[m].append((k, c))
+    cols = f.lines()[1]
     acc = {}
     for (a, b, m), c in op.entries.items():
         for k, fk in cols[m]:
             key = (a, b, k)
             acc[key] = acc.get(key, 0) + fk * c
-    return BilinearOp(op.left, op.right, f.codomain, acc)
-
-
-def _nonzero_rows(f: LinearMap):
-    """Row i of f as (j, c) pairs: the nonzero e_i-coefficients of f(e_j)."""
-    return [[(j, c) for j, c in enumerate(row) if not scalar_is_zero(c)]
-            for row in f.matrix]
+    return BilinearOp._of(op.left, op.right, f.codomain, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +366,7 @@ class TensorElement:
     def __init__(self, left: Space, right: Space, matrix):
         if len(matrix) != left.dim or any(len(row) != right.dim for row in matrix):
             raise ValueError("tensor matrix shape does not match its spaces")
-        entries = {}
-        for i, row in enumerate(matrix):
-            for j, c in enumerate(row):
-                c = _coerce_scalar(c)
-                if not scalar_is_zero(c):
-                    entries[(i, j)] = c
-        self.left = left
-        self.right = right
-        self.entries = entries
+        self.left, self.right, self.entries = left, right, _dense_cells(matrix)
 
     @classmethod
     def _of(cls, left: Space, right: Space, entries: dict) -> "TensorElement":
@@ -382,9 +393,7 @@ class TensorElement:
 
     @property
     def matrix(self) -> tuple:
-        cells = self.entries
-        return tuple(tuple(cells.get((i, j), ZERO) for j in range(self.right.dim))
-                     for i in range(self.left.dim))
+        return _dense_view(self.entries, self.left.dim, self.right.dim)
 
     def nonzero(self) -> Iterator[tuple]:
         """(i, j, c) for every nonzero cell, in row-major order."""
@@ -476,17 +485,12 @@ class Tensor3:
 
 def sharp(r: TensorElement) -> LinearMap:
     """Read r in W (x) V as a map V* -> W: row i, column j is r's (i, j) cell."""
-    mat = [[0] * r.right.dim for _ in range(r.left.dim)]
-    for (i, j), c in r.entries.items():
-        mat[i][j] = c
-    return LinearMap(r.right.dual(), r.left, mat)
+    return LinearMap._of(r.right.dual(), r.left, r.entries)
 
 
 def unsharp(f: LinearMap) -> TensorElement:
     """Inverse of sharp: a map V -> W becomes sum_j f(e_j) (x) e_j^* in W (x) V*."""
-    return TensorElement._of(f.codomain, f.domain.dual(),
-                             {(i, j): c for i, row in enumerate(f.matrix)
-                              for j, c in enumerate(row)})
+    return TensorElement._of(f.codomain, f.domain.dual(), dict(sorted(f.entries.items())))
 
 
 def eta_embed(r: TensorElement, ambient: Space = None) -> TensorElement:

@@ -20,7 +20,7 @@ def rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        # one shared zero: dense matrices are mostly zeros
+        # one shared zero: dense input matrices, from files or callers, are mostly zeros
         return Fraction(value) if value else ZERO
     if isinstance(value, str):
         try:

@@ -29,7 +29,7 @@ from pathlib import Path
 from .deform import DeformationJet
 from .linalg import BilinearOp, LinearMap, Space, TensorElement
 from .operators import OOperatorSpec
-from .scalars import Jet
+from .scalars import ZERO, Jet
 from .structures import (
     KIND_ROLES,
     MODULE_ACTION_ROLES,
@@ -56,6 +56,8 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def parse_scalar(text, where: str) -> Fraction:
     """An integer, or a "p" / "p/q" string; nothing else is a scalar."""
+    if text == "0":  # nearly every cell of a dense matrix in a file
+        return ZERO
     if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):

@@ -265,14 +265,11 @@ def alpha_block_maps(space: Space):
     (x,y) -> (-x+y, 0), -(y,y), -(x,x), (0, x-y)."""
     hat = direct_sum(space, space)
     n = space.dim
-    one = Fraction(1)
 
     def build(blocks):
-        mat = [[0] * (2 * n) for _ in range(2 * n)]
-        for (bi, bj), sign in blocks.items():
-            for d in range(n):
-                mat[bi * n + d][bj * n + d] = sign * one
-        return LinearMap(hat, hat, mat)
+        return LinearMap._of(hat, hat, {(bi * n + d, bj * n + d): Fraction(sign)
+                                        for (bi, bj), sign in blocks.items()
+                                        for d in range(n)})
 
     a1 = build({(0, 0): -1, (0, 1): 1})
     a2 = build({(0, 1): -1, (1, 1): -1})
