@@ -24,7 +24,6 @@ from .linalg import (
     pullback,
     pushforward,
 )
-from .scalars import Jet
 from .structures import (
     KIND_ROLES,
     AxiomReport,
@@ -47,19 +46,6 @@ def _layers_consistent(layers, order, space):
         for op in ops:
             if (op.left, op.right, op.out) != (space, space, space):
                 raise ValueError(f"layer of role {role!r} lives on the wrong space")
-
-
-def _merge_layers(ops: tuple[BilinearOp, ...], order: int) -> BilinearOp:
-    """Collapse rational layers into a single jet-valued operation."""
-    keys = set()
-    for op in ops:
-        keys.update(op.entries)
-    space = ops[0].left
-    entries = {}
-    for key in keys:
-        coeffs = [op.entries.get(key, 0) for op in ops]
-        entries[key] = Jet.from_layers(coeffs, order)
-    return BilinearOp(space, ops[0].right, ops[0].out, entries)
 
 
 def _antisym(op: BilinearOp) -> BilinearOp:
@@ -96,13 +82,6 @@ class DeformationJet:
 
     def layer0(self) -> StructurePresentation:
         return self.layer(0)
-
-    def jet_presentation(self) -> StructurePresentation:
-        return StructurePresentation(
-            self.space,
-            {r: _merge_layers(ops, self.order) for r, ops in self.layers.items()},
-            self.kind,
-        )
 
     def __eq__(self, other):
         if not isinstance(other, DeformationJet):

@@ -34,13 +34,14 @@ from .operators import (
     induce_splitting,
     induce_splitting_jet,
 )
-from .scalars import ZERO, Jet
+from .scalars import ZERO
 from .structures import (
     AxiomFailure,
     AxiomReport,
     ModuleData,
     StructurePresentation,
     as_tridendriform,
+    check_layers,
     check_module,
     check_structure,
     commutativity_failures,
@@ -51,6 +52,7 @@ from .structures import (
 )
 from .yangbaxter import (
     aw1_induce,
+    aw1_induce_jet,
     construct_solutions,
     deformation_transfer,
     dual_semidirect_jet,
@@ -218,10 +220,6 @@ def _dict_difference(da, db, prefix):
     return None
 
 
-def _order0(c):
-    return c.coeff(0) if isinstance(c, Jet) else c
-
-
 # ---------------------------------------------------------------------------
 # the routes
 
@@ -290,14 +288,17 @@ def _w1_instance(run, pfx, r, ehat):
         m0, rep0 = got0
         run.sub(f"{pfx}:layer0-residuals", rep0)
         run.sub(f"{pfx}:layer0-module", check_module(m0))
-    goth = run.guard(f"{pfx}:jet-induce",
-                     lambda: aw1_induce(r, ehat.jet_presentation()))
+    goth = run.guard(f"{pfx}:jet-induce", lambda: aw1_induce_jet(r, ehat))
     if goth is not None:
-        mh, reph = goth
+        mj, reph = goth
         run.sub(f"{pfx}:jet-residuals", reph)
-        run.sub(f"{pfx}:jet-module", check_module(mh))
+        # every order of the module check, as check_deformation runs it after
+        # its layer-0 gate; the gate would raise where layer0-module reports
+        circ = tuple(op.entries for op in mj.semidirect_jet().layers["circ"])
+        run.sub(f"{pfx}:jet-module", check_layers(
+            "associative", {"circ": circ}, mj.order, "module over associative base"))
         if got0 is not None:
-            run.equal(f"{pfx}:left-square", mh.map_scalars(_order0), got0[0])
+            run.equal(f"{pfx}:left-square", mj.layer0(), got0[0])
     gotl = run.guard(f"{pfx}:limit-induce", lambda: aw1_induce(r, qcl(ehat)))
     if gotl is not None:
         pl, repl = gotl

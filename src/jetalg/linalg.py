@@ -115,13 +115,19 @@ class BilinearOp:
         return op
 
     def _fill(self, left, right, out, entries):
-        canon, by_ij = {}, {}
-        for (i, j, k), c in entries.items():
-            if not scalar_is_zero(c):
-                canon[(i, j, k)] = c
-                by_ij.setdefault((i, j), []).append((k, c))
         self.left, self.right, self.out = left, right, out
-        self.entries, self._by_ij = canon, by_ij
+        self.entries = {key: c for key, c in entries.items() if not scalar_is_zero(c)}
+        self._by_ij = None
+
+    def _pairs(self) -> dict:
+        """(i, j) -> [(k, c), ...] over the nonzero cells, built on first use:
+        only apply and basis read it."""
+        if self._by_ij is None:
+            by_ij = {}
+            for (i, j, k), c in self.entries.items():
+                by_ij.setdefault((i, j), []).append((k, c))
+            self._by_ij = by_ij
+        return self._by_ij
 
     @classmethod
     def from_entries(cls, left, right, out, items: Iterable, combine: bool = False):
@@ -148,13 +154,14 @@ class BilinearOp:
 
     def basis(self, i: int, j: int) -> dict:
         """op(e_i, e_j) as a sparse vector."""
-        return dict(self._by_ij.get((i, j), ()))
+        return dict(self._pairs().get((i, j), ()))
 
     def apply(self, u: Mapping, v: Mapping) -> dict:
+        pairs = self._pairs()
         acc = {}
         for i, ui in u.items():
             for j, vj in v.items():
-                cell = self._by_ij.get((i, j))
+                cell = pairs.get((i, j))
                 if not cell:
                     continue
                 f = ui * vj
@@ -186,12 +193,6 @@ class BilinearOp:
         return BilinearOp._of(
             self.right, self.left, self.out,
             {(j, i, k): c for (i, j, k), c in self.entries.items()},
-        )
-
-    def map_scalars(self, fn) -> "BilinearOp":
-        return BilinearOp(
-            self.left, self.right, self.out,
-            {key: fn(c) for key, c in self.entries.items()},
         )
 
     def is_zero(self) -> bool:

@@ -3,12 +3,12 @@
 A StructurePresentation is a based space with one BilinearOp per named role;
 the kind tag fixes the roles and the defining identities, which one table
 (IDENTITIES) states as signed sums of words of degree one or two, each
-identity of a single degree.  The evaluator takes structure constants per
-h-order (one layer for a rational structure, N+1 for a deformation or a
-jet-valued presentation), scales them all by the common denominator L and
-works in Python integers.  It evaluates each word only where its structure
-constants are nonzero, by joining the tables of its operations, with the
-order-s part of a degree-two word summing the joins of layers p and s - p.
+identity of a single degree.  The evaluator takes rational structure
+constants per h-order (one layer for a structure, N+1 for a deformation),
+scales them all by the common denominator L and works in Python integers.
+It evaluates each word only where its structure constants are nonzero, by
+joining the tables of its operations, with the order-s part of a
+degree-two word summing the joins of layers p and s - p.
 On every basis tuple where an identity fails it reports the exact residual,
 divided back by L^degree.
 Module data is validated through its semidirect product: the data is valid
@@ -115,11 +115,6 @@ class StructurePresentation:
 
     def op(self, role: str) -> BilinearOp:
         return self.ops[role]
-
-    def map_scalars(self, fn) -> "StructurePresentation":
-        return StructurePresentation(
-            self.space, {r: op.map_scalars(fn) for r, op in self.ops.items()}, self.kind
-        )
 
     def __eq__(self, other):
         if not isinstance(other, StructurePresentation):
@@ -292,40 +287,23 @@ IDENTITIES = {
 }
 
 
-def _layers_of(p: StructurePresentation):
-    """Role -> per-order structure constants of p, and the jet order.
-
-    A rational presentation is one layer, with order None.  In a jet-valued
-    one, layer s holds the h^s coefficients, and a rational constant reads
-    as a constant jet.
-    """
-    orders = {c.order for op in p.ops.values() for c in op.entries.values()
-              if isinstance(c, Jet)}
-    if not orders:
-        return {role: (op.entries,) for role, op in p.ops.items()}, None
-    if len(orders) > 1:
-        low, high = sorted(orders)[:2]
-        raise ValueError(f"jet order mismatch: {low} vs {high}")
-    order = orders.pop()
-    layers = {}
-    for role, op in p.ops.items():
-        per_order = [{} for _ in range(order + 1)]
-        for key, c in op.entries.items():
-            if isinstance(c, Jet):
-                for layer, coeff in zip(per_order, c.coeffs):
-                    if coeff:
-                        layer[key] = coeff
-            else:
-                per_order[0][key] = c
-        layers[role] = tuple(per_order)
-    return layers, order
+def _common_denominator(tables) -> int:
+    """The lcm of the denominators of every cell in tables, mappings to
+    rationals.  The integer evaluators all scale by it, so a jet-valued
+    cell, which has no denominator, is refused here."""
+    try:
+        return math.lcm(*{c.denominator for cells in tables for c in cells.values()})
+    except AttributeError:
+        raise ValueError(
+            "jet-valued scalars are not evaluated; pass a deformation by its rational "
+            "layers to check_deformation, deformation_transfer or aw1_induce_jet") from None
 
 
 def _int_ops(layers, derived):
     """(L, role symbol -> per-order {(i, j, k): int}): every table scaled by
     the lcm L of all denominators, derived symbols summed from them."""
-    scale = math.lcm(*{c.denominator for per_order in layers.values()
-                       for entries in per_order for c in entries.values()})
+    scale = _common_denominator(entries for per_order in layers.values()
+                               for entries in per_order)
     ops = {ROLE_SYMBOLS[role]: tuple({key: c.numerator * (scale // c.denominator)
                                       for key, c in entries.items()}
                                      for entries in per_order)
@@ -445,10 +423,10 @@ def check_layers(kind: str, layers, order, subject: str) -> AxiomReport:
 
 
 def check_structure(p: StructurePresentation, subject: str = "") -> AxiomReport:
-    """Evaluate every defining identity of p.kind on all basis tuples; a
-    jet-valued p is checked layer by layer and reports jet residuals."""
-    layers, order = _layers_of(p)
-    return check_layers(p.kind, layers, order, subject or f"{p.kind} on dim {p.space.dim}")
+    """Evaluate every defining identity of p.kind on all basis tuples of a
+    rational p.  A deformation is checked on its layers by check_deformation."""
+    layers = {role: (op.entries,) for role, op in p.ops.items()}
+    return check_layers(p.kind, layers, None, subject or f"{p.kind} on dim {p.space.dim}")
 
 
 def commutativity_failures(p: StructurePresentation) -> tuple[AxiomFailure, ...]:
@@ -456,8 +434,8 @@ def commutativity_failures(p: StructurePresentation) -> tuple[AxiomFailure, ...]
     derived, _, symmetry = IDENTITIES[p.kind]
     if symmetry is None:
         raise ValueError(f"no commutativity notion for kind {p.kind!r}")
-    layers, order = _layers_of(p)
-    return tuple(_failures(*_int_ops(layers, derived), symmetry, order))
+    layers = {role: (op.entries,) for role, op in p.ops.items()}
+    return tuple(_failures(*_int_ops(layers, derived), symmetry, None))
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +485,6 @@ class ModuleData:
 
     def is_plain(self) -> bool:
         return all(op.is_zero() for op in self.carrier_ops.values())
-
-    def map_scalars(self, fn) -> "ModuleData":
-        return ModuleData(
-            self.base.map_scalars(fn),
-            self.carrier,
-            {r: op.map_scalars(fn) for r, op in self.carrier_ops.items()},
-            {r: op.map_scalars(fn) for r, op in self.actions.items()},
-        )
 
     def __eq__(self, other):
         if not isinstance(other, ModuleData):

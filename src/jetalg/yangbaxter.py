@@ -2,16 +2,16 @@
 
 Residuals are sparse rank-3 tensors; a candidate solves the equation
 exactly when its residual has no nonzero entry.  Each residual is one join
-of the tensor's nonzero cells with the product's structure constants, run
-in integers; a jet-valued product is split into its h-layers, joined layer
-by layer and merged back into jet cells.  Solution constructors always
-rebuild their ambient algebras through the semidirect and dualization code
-paths and re-verify every tensor they emit.
+of the tensor's nonzero cells with the product's rational structure
+constants, run in integers.  Every statement about a deformed product is
+linear in it, so the deformed checks evaluate each h-layer on its own and
+merge the layers' cells into jets.  Solution constructors always rebuild
+their ambient algebras through the semidirect and dualization code paths
+and re-verify every tensor they emit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -31,14 +31,15 @@ from .linalg import (
     sharp,
     unsharp,
 )
-from .operators import OOperatorSpec, check_o_operator
+from .operators import OOperatorSpec, check_o_operator, check_scalar_deformation
 from .scalars import Jet
 from .structures import (
     AxiomFailure,
     AxiomReport,
     ModuleData,
     StructurePresentation,
-    _layers_of,
+    _common_denominator,
+    as_bimodule_layout,
     as_post_poisson,
     as_tridendriform,
     dualize_module,
@@ -107,36 +108,29 @@ def _join(t_int, product, terms):
     return acc
 
 
-def _int_layers(layers):
-    """(L, each layer's entries times L, as ints), L the lcm of all their
-    denominators."""
-    scale = math.lcm(*{c.denominator for entries in layers for c in entries.values()})
-    return scale, [{key: c.numerator * (scale // c.denominator) for key, c in entries.items()}
-                   for entries in layers]
+def _int_cells(cells):
+    """(L, cells times L, as ints), L the lcm of their denominators."""
+    scale = _common_denominator((cells,))
+    return scale, {key: c.numerator * (scale // c.denominator) for key, c in cells.items()}
 
 
 def _merge(layers, order):
-    """Cells given per h-order as one mapping: jets of that order, or the one
-    rational layer itself for order None."""
-    if order is None:
-        return layers[0]
+    """Cells given per h-order as one mapping to jets of that order."""
     return {key: Jet.from_layers([cells.get(key, 0) for cells in layers], order)
             for key in set().union(*layers)}
 
 
 def _joined(terms, t: TensorElement, p: StructurePresentation, role, degree):
     """Nonzero cells of a residual of degree `degree` in t and linear in p's
-    role.  t (rational) and each h-layer of the operation are scaled to
-    integers by the lcm of their denominators and joined; only nonzero cells
-    are divided back.  A jet-valued p gives jet cells of its order."""
-    _op_for(p, role)
-    layers, order = _layers_of(p)
-    scale_t, (t_int,) = _int_layers((t.entries,))
-    scale_m, products = _int_layers(layers[role])
+    role.  t and the operation, both rational, are scaled to integers by the
+    lcm of their denominators and joined; only nonzero cells are divided
+    back."""
+    op = _op_for(p, role)
+    scale_t, t_int = _int_cells(t.entries)
+    scale_m, product = _int_cells(op.entries)
     denominator = scale_t ** degree * scale_m
-    return _merge([{key: Fraction(c, denominator)
-                    for key, c in _join(t_int, product, terms).items() if c}
-                   for product in products], order)
+    return {key: Fraction(c, denominator)
+            for key, c in _join(t_int, product, terms).items() if c}
 
 
 def ybe_residual(kind: str, r: TensorElement, p: StructurePresentation):
@@ -145,7 +139,8 @@ def ybe_residual(kind: str, r: TensorElement, p: StructurePresentation):
     "aybe" is r12 r13 + r13 r23 - r23 r12 and "aybe-op" its opposite-order
     version, contracted with the associative product; "cybe" is
     [r12, r13] + [r12, r23] + [r13, r23] with the bracket; "pybe" returns the
-    (aybe, cybe) pair for a Poisson ambient.
+    (aybe, cybe) pair for a Poisson ambient.  p is rational; a deformed
+    product is checked layer by layer (deformation_transfer, aw1_induce_jet).
     """
     if kind not in YBE_KINDS:
         raise ValueError(f"unknown Yang-Baxter kind {kind!r}")
@@ -181,6 +176,45 @@ def _all_invariant(kind, b, p) -> bool:
 # ---------------------------------------------------------------------------
 # dual products induced by an invariant symmetric part
 
+def _induced_dual(p: StructurePresentation, sharp_beta: LinearMap, family: str) -> ModuleData:
+    """The dual module that sharp(beta) induces over one rational product p.
+
+    R*(x) = -transpose(R(x)) for the right multiplication R of circ, and the
+    dual action of the bracket is ad*(x) = -transpose(ad(x)); the induced
+    product is 2 R*(sharp(beta) a*) b* and, for the Poisson family, the
+    bracket -2 ad*(sharp(beta) a*) b*.  All of it is linear in p, so over a
+    deformed product layer s of the induced module is this module over
+    layer s.
+    """
+    dual = p.space.dual()
+    base_module = dualize_module(regular_module(p))
+    ident = LinearMap.identity(dual)
+    right = oriented(p.op("circ"), "right")
+    r_star = BilinearOp(right.left, dual, dual,
+                        {(i, k, c): -v for (i, c, k), v in right.entries.items()})
+    carrier_ops = {"dot": pullback(r_star, sharp_beta, ident).scale(2)}
+    if family == "poisson":
+        carrier_ops = {"bracket": pullback(base_module.actions["bracket_act"], sharp_beta,
+                                           ident).scale(-2), **carrier_ops}
+    return ModuleData(p, dual, carrier_ops, base_module.actions)
+
+
+def _residual_failures(axiom, t: Tensor3):
+    return [AxiomFailure(axiom, key, {0: val}) for key, val in t.sorted_entries()[:4]]
+
+
+def _equivalence(residual_zero, res_failures, op_report, checked) -> AxiomReport:
+    """The report of a dual induction, whose two sides must agree."""
+    if residual_zero != op_report.passed:
+        raise ConsistencyError(
+            "Yang-Baxter residual and dual operator check disagree: "
+            f"residual zero = {residual_zero}, operator passed = {op_report.passed}"
+        )
+    return AxiomReport(residual_zero and op_report.passed,
+                       tuple(res_failures) + op_report.failures, checked,
+                       "dual induction equivalence")
+
+
 def aw1_induce(r: TensorElement, p: StructurePresentation):
     """Dual module structure induced by the symmetric part beta of r, plus
     the equivalence between the Yang-Baxter residual of r and the operator
@@ -189,12 +223,11 @@ def aw1_induce(r: TensorElement, p: StructurePresentation):
     Associative ambients produce a dual bimodule algebra whose product is
     a* . b* = 2 R*(sharp(beta) a*) b*; Poisson ambients add the bracket
     [a*, b*] = -2 ad*(sharp(beta) a*) b*.  The returned report records both
-    sides; disagreement between them raises ConsistencyError.
+    sides; disagreement between them raises ConsistencyError.  A deformed
+    associative ambient goes to aw1_induce_jet.
     """
     _check_tensor_space(r, p)
     beta = r.sym()
-    dual = p.space.dual()
-    sharp_beta = sharp(beta)
 
     family = "poisson" if p.kind == "poisson" else "associative"
     if family == "associative" and p.kind not in ("associative", "commutative-associative"):
@@ -205,56 +238,22 @@ def aw1_induce(r: TensorElement, p: StructurePresentation):
     if family == "poisson" and not _all_invariant("lie", beta, p):
         raise ValueError("the symmetric part of r is not invariant for the bracket")
 
-    # R*(x) = -transpose(R(x)) for the right multiplication R of circ, and
-    # the dual action of the bracket is ad*(x) = -transpose(ad(x)); the
-    # induced product is 2 R*(sharp(beta) a*) b* and the bracket
-    # -2 ad*(sharp(beta) a*) b*
-    base_module = dualize_module(regular_module(p))
-    ident = LinearMap.identity(dual)
-    right = oriented(p.op("circ"), "right")
-    r_star = BilinearOp(right.left, dual, dual,
-                        {(i, k, c): -v for (i, c, k), v in right.entries.items()})
-    carrier_ops = {"dot": pullback(r_star, sharp_beta, ident).scale(2)}
-    if family == "poisson":
-        carrier_ops = {"bracket": pullback(base_module.actions["bracket_act"], sharp_beta,
-                                           ident).scale(-2), **carrier_ops}
+    module = _induced_dual(p, sharp(beta), family)
     if family == "associative":
         residual = ybe_residual("aybe", r, p)
         residual_zero = residual.is_zero()
-        res_failures = [
-            AxiomFailure("AybeResidual", key, {0: val})
-            for key, val in residual.sorted_entries()[:4]
-        ]
+        res_failures = _residual_failures("AybeResidual", residual)
+        checked = ("AybeResidual", "DualOOperator", "Biconditional")
     else:
         res_a, res_c = ybe_residual("pybe", r, p)
         residual_zero = res_a.is_zero() and res_c.is_zero()
-        res_failures = [
-            AxiomFailure("AybeResidual", key, {0: val})
-            for key, val in res_a.sorted_entries()[:4]
-        ] + [
-            AxiomFailure("CybeResidual", key, {0: val})
-            for key, val in res_c.sorted_entries()[:4]
-        ]
+        res_failures = (_residual_failures("AybeResidual", res_a)
+                        + _residual_failures("CybeResidual", res_c))
+        checked = ("AybeResidual", "CybeResidual", "DualOOperator", "Biconditional")
 
-    module = ModuleData(p, dual, carrier_ops, base_module.actions)
     spec = OOperatorSpec(sharp(r), Fraction(1), module)
     op_report = check_o_operator(spec, "sharp(r) on the induced dual module")
-
-    if residual_zero != op_report.passed:
-        raise ConsistencyError(
-            "Yang-Baxter residual and dual operator check disagree: "
-            f"residual zero = {residual_zero}, operator passed = {op_report.passed}"
-        )
-
-    failures = tuple(res_failures) + op_report.failures
-    report = AxiomReport(
-        residual_zero and op_report.passed,
-        failures,
-        ("AybeResidual", "DualOOperator", "Biconditional") if family == "associative"
-        else ("AybeResidual", "CybeResidual", "DualOOperator", "Biconditional"),
-        "dual induction equivalence",
-    )
-    return module, report
+    return module, _equivalence(residual_zero, res_failures, op_report, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +474,35 @@ def deformation_transfer(r: TensorElement, j: DeformationJet,
 
     return AxiomReport(not failures, tuple(failures), tuple(checked),
                        "transfer through the quasiclassical limit")
+
+
+def aw1_induce_jet(r: TensorElement, j: DeformationJet):
+    """aw1_induce over an associative deformation, layer by layer.
+
+    Invariance of beta, the induced dual module, the AYBE residual and the
+    operator identity of sharp(r) are all linear in the product, so their
+    h^s parts are the rational computations on layer s.  Returns the
+    induced module jet and the report.  The biconditional is decided from
+    all layers at once: a layer s >= 1 alone is not an associative algebra.
+    """
+    layers = [j.layer(s) for s in range(j.order + 1)]
+    _check_tensor_space(r, layers[0])
+    if j.kind not in ("associative", "commutative-associative"):
+        raise ValueError("dual induction expects an associative ambient jet")
+    beta = r.sym()
+    if not all(_all_invariant("associative", beta, layer) for layer in layers):
+        raise ValueError("the symmetric part of r is not invariant for the product")
+
+    sharp_beta = sharp(beta)
+    mj = ModuleDeformationJet.of_layers(
+        [as_bimodule_layout(_induced_dual(layer, sharp_beta, "associative"))
+         for layer in layers])
+    residual = Tensor3((j.space,) * 3, _merge(
+        [ybe_residual("aybe", r, layer).entries for layer in layers], j.order))
+    spec = OOperatorSpec(sharp(r), Fraction(1), mj.layer0())
+    op_report = check_scalar_deformation(spec, mj, "sharp(r) on the induced dual module")
+    return mj, _equivalence(residual.is_zero(), _residual_failures("AybeResidual", residual),
+                            op_report, ("AybeResidual", "DualOOperator", "Biconditional"))
 
 
 def dualize_deformation(mj: ModuleDeformationJet) -> ModuleDeformationJet:

@@ -4,17 +4,20 @@ The oracle below evaluates each identity as closures over sparse basis
 vectors on every basis tuple, in the dense loop order, with rational or
 jet-valued scalars.  check_structure, commutativity_failures and
 check_deformation must give the same verdict, the same checked ids and the
-same failures (axiom, indices, residual, order), in the same order.
+same failures (axiom, indices, residual, order), in the same order.  The
+library evaluates a jet-valued presentation only by its rational layers
+(check_layers, check_deformation); the oracle evaluates it merged.
 """
 
 from fractions import Fraction
 from typing import Mapping
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetalg import (
+    DIAGRAM_TAGS,
     KIND_ROLES,
     AxiomFailure,
     AxiomReport,
@@ -22,11 +25,12 @@ from jetalg import (
     DeformationJet,
     Jet,
     LinearMap,
-    ModuleData,
     ModuleDeformationJet,
     OOperatorSpec,
     Space,
     StructurePresentation,
+    TensorElement,
+    aw1_induce,
     check_deformation,
     check_module,
     check_scalar_deformation,
@@ -37,6 +41,7 @@ from jetalg import (
     dual_semidirect_jet,
     gen_product_shift,
     gen_truncated_poly_example,
+    invariance_residual,
     module_derivation_pair,
     qcl,
     regular_bimodule,
@@ -45,12 +50,13 @@ from jetalg import (
     tridendriform_bimodule_jet,
     truncated_polynomial_algebra,
     verify_diagram,
+    ybe_residual,
 )
-from jetalg.deform import _merge_layers
 from jetalg import structures
 from jetalg.linalg import vec_clean
 from vectors import vec_iadd, vec_is_zero, vec_sub, vec_unit
-from jetalg.structures import _residual_order, commutativity_failures
+from jetalg.structures import _residual_order, check_layers, commutativity_failures
+from jet_oracle import jet_module, jet_presentation, split_layers
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +285,23 @@ def assert_same_report(p):
     assert failure_rows(commutativity_failures(p)) == failure_rows(want_sym)
 
 
+def assert_same_layered_report(p, order, subject=""):
+    """A jet-valued p of the given order, evaluated by its rational layers,
+    against the dense oracle on p itself."""
+    layers = split_layers(p, order)
+    subject = subject or f"{p.kind} on dim {p.space.dim}"
+    assert_same_failures(check_layers(p.kind, layers, order, subject),
+                         dense_check_structure(p, subject))
+    derived, _, symmetry = structures.IDENTITIES[p.kind]
+    try:
+        want_sym = dense_commutativity_failures(p)
+    except ValueError:
+        assert symmetry is None
+        return
+    got_sym = structures._failures(*structures._int_ops(layers, derived), symmetry, order)
+    assert failure_rows(got_sym) == failure_rows(want_sym)
+
+
 SCALARS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
 
 
@@ -352,7 +375,7 @@ def test_single_entry_perturbations_agree_with_the_dense_oracle(p):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(presentations(scalars=JETS, max_dim=3))
 def test_jet_valued_presentations_agree_with_the_dense_oracle(p):
-    assert_same_report(p)
+    assert_same_layered_report(p, 2)
 
 
 def test_every_valid_instance_passes_both_checkers():
@@ -368,10 +391,11 @@ def test_perturbed_poly_jet_agrees_with_the_dense_oracle(poly2):
     dots[2] = BilinearOp(poly2.space, poly2.space, poly2.space, entries)
     layers["dot"] = tuple(dots)
     jet = DeformationJet(poly2.jet.kind, poly2.jet.order, layers)
-    p = jet.jet_presentation()
-    report = check_structure(p)
+    report = check_deformation(jet)
     assert not report.passed and report.first_failing_order() == 2
-    assert_same_report(p)
+    subject = f"{jet.kind} deformation through order {jet.order}"
+    assert_same_failures(report, dense_check_structure(jet_presentation(jet), subject))
+    assert_same_layered_report(jet_presentation(jet), jet.order, subject)
 
 
 # ---------------------------------------------------------------------------
@@ -420,25 +444,7 @@ def test_deformation_checks_agree_with_the_dense_oracle_on_the_merged_jet(j):
         return
     subject = f"{j.kind} deformation through order {j.order}"
     assert_same_failures(check_deformation(j),
-                         dense_check_structure(j.jet_presentation(), subject))
-
-
-def jet_module(mj: ModuleDeformationJet) -> ModuleData:
-    """Merge a module jet into one jet-valued module: the reference the
-    layerwise module and operator checks are held against."""
-    order = mj.order
-    base = StructurePresentation(
-        mj.base_space,
-        {"circ": _merge_layers(mj.base_layers["circ"], order)},
-        "associative",
-    )
-
-    return ModuleData(
-        base,
-        mj.carrier,
-        {"dot": _merge_layers(mj.carrier_layers["dot"], order)},
-        {role: _merge_layers(ops, order) for role, ops in mj.action_layers.items()},
-    )
+                         dense_check_structure(jet_presentation(j), subject))
 
 
 def _small_module_jets():
@@ -500,9 +506,8 @@ def test_module_deformation_checks_agree_with_the_merged_jet_module(mj):
             check_deformation(mj)
         return
     subject = f"module deformation through order {mj.order}"
-    got = check_deformation(mj)
-    assert_same_failures(got, check_module(jet_module(mj), subject))
-    assert_same_failures(got, dense_check_structure(semidirect(jet_module(mj)), subject))
+    assert_same_failures(check_deformation(mj),
+                         dense_check_structure(semidirect(jet_module(mj)), subject))
 
 
 def test_deformation_checks_make_no_jet_multiplications(poly3, poly2, monkeypatch):
@@ -522,48 +527,35 @@ def test_deformation_checks_make_no_jet_multiplications(poly3, poly2, monkeypatc
     assert check_deformation(poly3.jet).passed
     assert check_deformation(module_jet).passed
     assert check_scalar_deformation(spec, module_jet).passed
-    assert verify_diagram("pro-diagotri").passed
-    assert verify_diagram("pro-diaid").passed
     assert deformation_transfer(r, ehat).passed
     assert deformation_transfer(r, ehat, invariance_only=True).passed
+    for tag in DIAGRAM_TAGS:
+        assert verify_diagram(tag).passed, tag
     assert calls == []
     Jet.h(1) * 2
     assert len(calls) == 1
 
 
-def test_jets_of_different_orders_are_rejected():
-    space = Space.make(2)
-    circ = BilinearOp(space, space, space, {(0, 0, 1): Jet.h(1), (1, 0, 1): Jet.h(2)})
-    p = StructurePresentation(space, {"circ": circ}, "associative")
-    with pytest.raises(ValueError, match="jet order mismatch: 1 vs 2"):
-        check_structure(p)
-    circ = BilinearOp(space, space, space,
-                      {(0, 0, 1): Jet.h(3), (1, 0, 1): Jet.h(2), (1, 1, 1): Jet.h(1)})
-    p = StructurePresentation(space, {"circ": circ}, "associative")
-    with pytest.raises(ValueError, match="jet order mismatch: 1 vs 2"):
-        check_structure(p)
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(presentations(scalars=JETS, max_dim=3), st.data())
-def test_a_rational_constant_reads_as_a_constant_jet(p, data):
-    """A jet-valued presentation may hold plain rationals; each is checked as
-    the constant jet of the presentation's order, in layer 0."""
-    role = data.draw(st.sampled_from(sorted(p.ops)))
-    n = p.space.dim
-    key = data.draw(st.tuples(*[st.integers(0, n - 1)] * 3))
-    value = data.draw(SCALARS)
-    assume(any(k != key or r != role for r, op in p.ops.items() for k in op.entries))
-
-    def with_entry(c):
-        ops = dict(p.ops)
-        entries = dict(ops[role].entries)
-        entries[key] = c
-        ops[role] = BilinearOp(p.space, p.space, p.space, entries)
-        return StructurePresentation(p.space, ops, p.kind)
-
-    assert_same_failures(check_structure(with_entry(value)),
-                         check_structure(with_entry(Jet.constant(value, 2))))
+def test_integer_evaluators_reject_jet_valued_presentations(poly2):
+    """The evaluators take rational constants only; one jet cell, even
+    beside rational ones, raises ValueError naming the layered entry points."""
+    space = poly2.space
+    circ = dict(poly2.presentation.op("dot").entries)
+    circ[(0, 0, 2)] = Jet.h(2)
+    p = StructurePresentation(space, {"circ": BilinearOp(space, space, space, circ)},
+                              "commutative-associative")
+    r = TensorElement.zero(space, space)
+    rational = StructurePresentation(space, {"circ": poly2.presentation.op("dot")},
+                                     "commutative-associative")
+    jet_r = TensorElement.from_entries(space, space, [(0, 1, Jet.h(2))])
+    calls = [lambda: check_structure(p), lambda: commutativity_failures(p),
+             lambda: aw1_induce(r, p), lambda: invariance_residual("associative", r, p),
+             lambda: ybe_residual("aybe", jet_r, rational)]
+    calls += [lambda kind=kind: ybe_residual(kind, r, p) for kind in ("aybe", "aybe-op")]
+    for call in calls:
+        with pytest.raises(ValueError, match="jet-valued scalars are not evaluated; "
+                                             "pass a deformation by its rational layers"):
+            call()
 
 
 def test_each_word_is_joined_once_per_check(poly2, monkeypatch):

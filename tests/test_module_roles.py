@@ -37,7 +37,8 @@ from jetalg import (
 from jetalg.diagrams import _first_difference
 from jetalg.structures import MODULE_ACTION_ROLES, MODULE_CARRIER_ROLES, MODULE_ROLES
 from module_oracle import from_old, to_old
-from test_identity_engine import MODULE_JETS, SCALARS, assert_same_failures, jet_module
+from test_identity_engine import MODULE_JETS, SCALARS, assert_same_failures
+from jet_oracle import jet_module
 from test_operators import EX, IDENT, WEIGHTS, loop_check_o_operator, operator_specs
 
 

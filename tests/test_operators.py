@@ -50,7 +50,8 @@ from jetalg.structures import (
 )
 from jetalg.yangbaxter import alpha_block_maps
 from module_oracle import DenseMap, to_old
-from test_identity_engine import SCALARS, assert_same_failures, jet_module, module_jets
+from test_identity_engine import SCALARS, assert_same_failures, module_jets
+from jet_oracle import jet_module
 
 ONE = Fraction(1)
 

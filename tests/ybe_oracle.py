@@ -5,7 +5,7 @@ sharp, unsharp and eta_embed work on its matrix.  The residuals loop over
 every pair of nonzero cells of r and probe the product for each; the
 invariance residual builds one dense tensor per basis vector x; and the
 transfer evaluates both hypotheses on the jet-valued presentation of the
-deformation, in jet arithmetic.  The sparse integer joins in
+deformation (its layers merged by jet_oracle), in jet arithmetic.  The sparse integer joins in
 jetalg.yangbaxter must agree with these on every report.
 """
 
@@ -28,6 +28,7 @@ from jetalg import (
 )
 from jetalg.linalg import direct_sum
 from jetalg.scalars import Jet, rational, scalar_is_zero
+from jet_oracle import jet_presentation
 
 YBE_KINDS = ("aybe", "aybe-op", "cybe", "pybe")
 
@@ -310,7 +311,7 @@ def deformation_transfer(r: DenseTensor, j: DeformationJet,
     """
     if j.kind not in ("associative", "commutative-associative"):
         raise ValueError("transfer expects an associative ambient jet")
-    p_jet = j.jet_presentation()
+    p_jet = jet_presentation(j)
     _check_tensor_space(r, p_jet)
     beta = r.add(r.twist())
 
